@@ -1,59 +1,3 @@
 """Coverage-feedback stdin test input generation for C and Python targets."""
 
-from .analyzer import AnalyzerWarning, detect_language, extract_input_signature
-from .backends import CompletionBackend, HttpBackend, SchemaId, StubBackend
-from .cache import TestSuiteCache, canonical_key
-from .driver import RunResult, run_loop
-from .evaluator import emit_artifact, parse_dynamic_coverage, parse_gcov, read_artifact
-from .model import (
-    BackendKind,
-    BranchGap,
-    CoverageReport,
-    FeedbackOrigin,
-    FeedbackRefinement,
-    InputKind,
-    InputSignature,
-    IterationRecord,
-    Language,
-    RunConfig,
-    Termination,
-    TestCase,
-    total_coverage,
-)
-from .prompts import PromptBundle, build_baseline_prompt, merge_refinements
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyzerWarning",
-    "BackendKind",
-    "BranchGap",
-    "CompletionBackend",
-    "CoverageReport",
-    "FeedbackOrigin",
-    "FeedbackRefinement",
-    "HttpBackend",
-    "InputKind",
-    "InputSignature",
-    "IterationRecord",
-    "Language",
-    "PromptBundle",
-    "RunConfig",
-    "RunResult",
-    "SchemaId",
-    "StubBackend",
-    "Termination",
-    "TestCase",
-    "TestSuiteCache",
-    "build_baseline_prompt",
-    "canonical_key",
-    "detect_language",
-    "emit_artifact",
-    "extract_input_signature",
-    "merge_refinements",
-    "parse_dynamic_coverage",
-    "parse_gcov",
-    "read_artifact",
-    "run_loop",
-    "total_coverage",
-]

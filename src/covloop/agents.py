@@ -25,7 +25,6 @@ from .backends import (
 from .cache import TestSuiteCache, canonical_key
 from .errors import ContractViolation, MalformedResponse, RateLimited
 from .model import BranchGap, FeedbackOrigin, FeedbackRefinement, TestCase
-from .prompts import PromptBundle
 
 log = logging.getLogger(__name__)
 
@@ -197,12 +196,6 @@ def cases_from_payload(
         except ContractViolation as exc:
             log.warning("dropping unusable case %r: %s", raw_case, exc)
     return cases
-
-
-def generate_tests(backend: CompletionBackend, prompt: PromptBundle) -> list[TestCase]:
-    """Run the generator agent once and return its usable test cases."""
-    response = complete(backend, prompt.render(), SchemaId.TEST_CASES)
-    return cases_from_payload(response.parsed, expected_count=prompt.signature.count)
 
 
 def parse_and_filter(

@@ -24,16 +24,14 @@ import requests
 
 from .errors import ContractViolation, RateLimited, TransportError
 from .model import BackendKind, InputKind, RunConfig
+from .prompts import FOCUS_HEADER, INPUT_COUNT_RE, INPUT_KIND_RE
 
 API_KEY_ENV = "COVLOOP_API_KEY"
 
-# Anchors shared between the agent prompt builders and the stub's parser.
+# Anchors shared between the feedback prompt builders and the stub's parser.
 SOURCE_ANCHOR = "SOURCE CODE:"
 MISSING_LINES_ANCHOR = "MISSING LINES:"
 MISSING_BRANCHES_ANCHOR = "MISSING BRANCHES:"
-FOCUS_ANCHOR = "Additional Focus Areas:"
-INPUT_COUNT_RE = re.compile(r"calls input exactly (\d+) times")
-INPUT_KIND_RE = re.compile(r"Input #\d+: expects (integer|float|string|char)")
 
 
 class SchemaId(enum.Enum):
@@ -118,7 +116,7 @@ def _prompt_kinds(prompt: str) -> list[InputKind]:
 
 
 def _focus_section(prompt: str) -> str | None:
-    pos = prompt.find(FOCUS_ANCHOR)
+    pos = prompt.find(FOCUS_HEADER)
     return prompt[pos:] if pos >= 0 else None
 
 

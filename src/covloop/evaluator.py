@@ -4,106 +4,72 @@ coverage artifact consumed by the feedback agents and report generator."""
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
-from .errors import ParseError, PersistError
+from .errors import ContractViolation, ParseError, PersistError
 from .model import BranchGap, CoverageReport, format_pct
 
-_GCOV_SOURCE_LINE = re.compile(r"^\s*(\S+):\s*(\d+):(.*)$")
-_GCOV_BRANCH = re.compile(
-    r"^branch\s+(\d+)\s+(?:taken\s+(\d+)%?(?:\s.*)?|never executed.*)$"
-)
 
+def parse_gcov(entry: dict) -> CoverageReport:
+    """Map one file entry of `gcov -b --json-format` output to CoverageReport.
 
-def parse_gcov(report_text: str) -> CoverageReport:
-    """Parse branch-annotated gcov text (`gcov -b -c` style output).
-
-    Executable lines with a positive count are executed; `#####`/`=====`
-    markers are missing; `-` lines carry no code. Each `branch N ...`
-    annotation is one outcome arm of the most recent source line, covered
-    as soon as its taken count is positive.
+    A listed line is executed when its count is positive and missing
+    otherwise. Each of its `branches` is one outcome arm, covered as soon as
+    its count is positive and numbered by its position among the line's arms.
+    A line listed more than once (one listing per function on it) is merged.
     """
+    listed: set[int] = set()
     executed: set[int] = set()
-    missing: set[int] = set()
-    gaps: list[BranchGap] = []
-    total_branches = 0
-    taken_branches = 0
-    current_line = 0
-
-    for raw in report_text.splitlines():
-        m = _GCOV_SOURCE_LINE.match(raw)
-        if m:
-            count_token, lineno_text = m.group(1), m.group(2)
-            lineno = int(lineno_text)
-            if lineno == 0:  # preamble: Source/Graph/Data/Runs headers
-                continue
-            current_line = lineno
-            count_token = count_token.rstrip("*")
-            if count_token == "-":
-                continue
-            if count_token in ("#####", "====="):
-                missing.add(lineno)
-            elif count_token.isdigit() or (
-                count_token.startswith("-") and count_token[1:].isdigit()
-            ):
-                if int(count_token) > 0:
-                    executed.add(lineno)
-                else:
-                    missing.add(lineno)
-            else:
-                raise ParseError(
-                    f"unrecognizable line-count column in gcov output: {raw[:50]!r}"
-                )
-            continue
-        b = _GCOV_BRANCH.match(raw)
-        if b:
-            total_branches += 1
-            count = b.group(2)
-            if count is not None and int(count) > 0:
-                taken_branches += 1
-            else:
-                gaps.append(BranchGap(line=current_line, branch_id=int(b.group(1))))
-            continue
-        # anything else: call/function annotations and tool chatter
-
-    return CoverageReport(
-        executed_lines=frozenset(executed),
-        missing_lines=frozenset(missing),
-        total_branches=total_branches,
-        taken_branches=taken_branches,
-        missing_branches=tuple(gaps),
-    )
+    arms: dict[int, list[bool]] = {}
+    try:
+        for line in entry["lines"]:
+            lineno = int(line["line_number"])
+            listed.add(lineno)
+            if line["count"] > 0:
+                executed.add(lineno)
+            arms.setdefault(lineno, []).extend(b["count"] > 0 for b in line["branches"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"gcov JSON entry does not match expected schema: {exc}") from exc
+    gaps = [
+        BranchGap(line=lineno, branch_id=arm)
+        for lineno, taken in arms.items()
+        for arm, hit in enumerate(taken)
+        if not hit
+    ]
+    total = sum(len(taken) for taken in arms.values())
+    return _checked_report(executed, listed - executed, total, total - len(gaps), gaps)
 
 
 def parse_dynamic_coverage(export: dict) -> CoverageReport:
     """Normalize the tracer's machine-readable export for Python targets."""
     try:
-        executed = frozenset(int(l) for l in export["executed_lines"])
-        missing = frozenset(int(l) for l in export["missing_lines"])
         branches = export["branches"]
-        total = int(branches["total"])
-        covered = int(branches["covered"])
-        gaps = tuple(
-            BranchGap(line=int(g["line"]), branch_id=int(g["branch_id"]))
-            for g in branches["missing"]
+        return _checked_report(
+            executed=(int(l) for l in export["executed_lines"]),
+            missing=(int(l) for l in export["missing_lines"]),
+            total=int(branches["total"]),
+            taken=int(branches["covered"]),
+            gaps=(
+                BranchGap(line=int(g["line"]), branch_id=int(g["branch_id"]))
+                for g in branches["missing"]
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"coverage export does not match expected schema: {exc}") from exc
-    if executed & missing:
-        raise ParseError("coverage export lists lines as both executed and missing")
-    if len(gaps) != total - covered:
-        raise ParseError(
-            f"coverage export branch counters disagree: total {total}, "
-            f"covered {covered}, missing arms {len(gaps)}"
+
+
+def _checked_report(executed, missing, total, taken, gaps) -> CoverageReport:
+    """Build a report; its own invariants are the one consistency check."""
+    try:
+        return CoverageReport(
+            executed_lines=frozenset(executed),
+            missing_lines=frozenset(missing),
+            total_branches=total,
+            taken_branches=taken,
+            missing_branches=tuple(gaps),
         )
-    return CoverageReport(
-        executed_lines=executed,
-        missing_lines=missing,
-        total_branches=total,
-        taken_branches=covered,
-        missing_branches=gaps,
-    )
+    except ContractViolation as exc:
+        raise ParseError(f"inconsistent coverage data: {exc}") from exc
 
 
 def artifact_dict(report: CoverageReport) -> dict:
@@ -154,12 +120,12 @@ def read_artifact(path: str | Path) -> CoverageReport:
     except ValueError as exc:
         raise ParseError(f"coverage artifact {path} is not valid JSON: {exc}") from exc
     try:
-        return CoverageReport(
-            executed_lines=frozenset(data["executed_lines"]),
-            missing_lines=frozenset(data["missing_lines"]),
-            total_branches=int(data["total_branches"]),
-            taken_branches=int(data["taken_branches"]),
-            missing_branches=tuple(
+        return _checked_report(
+            executed=data["executed_lines"],
+            missing=data["missing_lines"],
+            total=int(data["total_branches"]),
+            taken=int(data["taken_branches"]),
+            gaps=(
                 BranchGap(line=g["line"], branch_id=g["branch_id"])
                 for g in data["missing_branches"]
             ),

@@ -8,7 +8,9 @@ Each run owns a private workdir with a fixed layout:
     manifest.json tool versions and flags used, for reproducibility
 
 C targets are compiled with gcc profile instrumentation and read back through
-gcov with branch counts enabled; Python targets run under the bundled tracer.
+`gcov -b --json-format --stdout`, so gcov must accept those flags (tested
+with GCC 12.2); no `.gcov` file is written. Python targets run under the
+bundled tracer.
 Coverage accumulates across runs of one prepared target and is never reset
 within a run, so reported coverage is monotone over the loop.
 """
@@ -21,7 +23,7 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from .model import Language, TestCase
 log = logging.getLogger(__name__)
 
 GCC_COVERAGE_FLAGS = ["-fprofile-arcs", "-ftest-coverage", "-O0"]
-GCOV_FLAGS = ["-b", "-c"]  # branch probabilities as counts
+GCOV_FLAGS = ["-b", "--json-format", "--stdout"]  # without -b: no branches
 _TRACER_NAME = "_covtrace.py"
 
 
@@ -46,7 +48,6 @@ class PreparedTarget:
     language: Language
     workdir: Path
     executable_or_script: Path
-    instrumentation_artifacts: list[Path] = field(default_factory=list)
     source_name: str = ""
 
     @property
@@ -109,7 +110,6 @@ def prepare_target(
         shutil.copyfile(pytrace.__file__, tracer)
         if target.data_store.exists():
             target.data_store.unlink()  # each prepared target starts fresh
-        target.instrumentation_artifacts = [tracer, target.data_store]
 
     _write_manifest(target)
     return target
@@ -133,7 +133,6 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> None:
                 f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}"
             )
     target.executable_or_script = binary
-    target.instrumentation_artifacts = [target.build_dir / f"{stem}.gcno"]
 
 
 def _write_manifest(target: PreparedTarget) -> None:
@@ -211,8 +210,9 @@ def run_test(
     )
 
 
-def collect_raw_coverage(target: PreparedTarget) -> str | dict:
-    """Cumulative raw coverage: gcov text for C, tracer export dict for Python.
+def collect_raw_coverage(target: PreparedTarget) -> dict:
+    """Cumulative raw coverage: gcov's JSON entry for the source file in C,
+    the tracer export in Python.
 
     With no runs recorded yet this still succeeds, reporting all-zero
     counters.
@@ -224,7 +224,7 @@ def collect_raw_coverage(target: PreparedTarget) -> str | dict:
     return pytrace.build_export(source, store)
 
 
-def _collect_gcov(target: PreparedTarget) -> str:
+def _collect_gcov(target: PreparedTarget) -> dict:
     source_name = target.source_name
     proc = subprocess.run(
         ["gcov", *GCOV_FLAGS, source_name],
@@ -236,10 +236,10 @@ def _collect_gcov(target: PreparedTarget) -> str:
         raise ToolInvocationError(
             f"gcov exited with {proc.returncode}: {proc.stderr.strip()}"
         )
-    report = target.build_dir / f"{source_name}.gcov"
-    if not report.exists():
+    try:
+        files = json.loads(proc.stdout)["files"]
+        return next(entry for entry in files if entry["file"] == source_name)
+    except (ValueError, KeyError, TypeError, StopIteration) as exc:
         raise ToolInvocationError(
-            f"gcov produced no report for {source_name}: "
-            f"{proc.stderr.strip() or proc.stdout.strip()}"
-        )
-    return report.read_text(encoding="utf-8")
+            f"gcov lists no coverage for {source_name}: {proc.stderr.strip()}"
+        ) from exc

@@ -9,9 +9,10 @@ the previous iteration's section, keeping prompts bounded.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
-from .model import FeedbackRefinement, InputSignature
+from .model import FeedbackRefinement, InputKind, InputSignature
 
 OPENING = "Generate diverse test values for the following program."
 DIVERSITY_INSTRUCTION = (
@@ -23,6 +24,12 @@ OUTPUT_FORMAT_INSTRUCTION = (
 )
 CACHE_HEADER = "Previously generated values:"
 FOCUS_HEADER = "Additional Focus Areas:"
+# The stub backend reads the input signature back out of a rendered prompt
+# with these; they parse the wording build_baseline_prompt writes.
+INPUT_COUNT_RE = re.compile(r"calls input exactly (\d+) times")
+INPUT_KIND_RE = re.compile(
+    r"Input #\d+: expects (" + "|".join(k.value for k in InputKind) + ")"
+)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,16 @@ EXPORT_FORMAT = "covloop-pytrace-v1"
 
 
 def executable_lines(source: str, filename: str = "<target>") -> set[int]:
-    """Lines that can fire a trace event, from the compiled line tables."""
+    """Lines that can fire a trace event, from the compiled line tables.
+
+    Line 0, which Python 3.11+ reports for the RESUME instruction, is not a
+    source line and is left out.
+    """
     lines: set[int] = set()
     stack = [compile(source, filename, "exec")]
     while stack:
         code = stack.pop()
-        lines.update(l for _, _, l in code.co_lines() if l is not None)
+        lines.update(l for _, _, l in code.co_lines() if l is not None and l > 0)
         stack.extend(c for c in code.co_consts if isinstance(c, CodeType))
     return lines
 

@@ -12,7 +12,6 @@ from covloop.agents import (
     branch_feedback,
     complete,
     extract_json_object,
-    generate_tests,
     line_feedback,
     parse_and_filter,
 )
@@ -97,24 +96,29 @@ class TestComplete:
 
 
 class TestGenerateTests:
+    """The driver's generation path: complete, then parse_and_filter."""
+
+    def generate(self, backend, sig=SIG_2):
+        prompt = build_baseline_prompt(sig, "").render()
+        response = complete(backend, prompt, SchemaId.TEST_CASES)
+        return parse_and_filter(response, TestSuiteCache(), sig.count)
+
     def test_maps_inner_lists(self):
         backend = ScriptedBackend(['{"test_cases": [["1", "a"], ["-5", "z"]]}'])
-        cases = generate_tests(backend, build_baseline_prompt(SIG_2, ""))
-        assert cases == [TestCase(("1", "a")), TestCase(("-5", "z"))]
+        assert self.generate(backend) == [TestCase(("1", "a")), TestCase(("-5", "z"))]
 
     def test_empty_payload(self):
-        backend = ScriptedBackend(['{"test_cases": []}'])
-        assert generate_tests(backend, build_baseline_prompt(SIG_2, "")) == []
+        assert self.generate(ScriptedBackend(['{"test_cases": []}'])) == []
 
     def test_arity_mismatch_dropped(self, caplog):
         backend = ScriptedBackend(['{"test_cases": [["1"]]}'])
         with caplog.at_level("WARNING"):
-            cases = generate_tests(backend, build_baseline_prompt(SIG_2, ""))
+            cases = self.generate(backend)
         assert cases == []
         assert any("dropping case" in r.message for r in caplog.records)
 
     def test_stub_respects_signature_arity(self):
-        cases = generate_tests(StubBackend(), build_baseline_prompt(SIG_2, ""))
+        cases = self.generate(StubBackend())
         assert cases
         assert all(len(tc.values) == 2 for tc in cases)
 

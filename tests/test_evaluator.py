@@ -14,31 +14,39 @@ from covloop.evaluator import (
 )
 from covloop.model import BranchGap, CoverageReport
 
-# Hand-built gcov text: 10 executable lines, 8 executed; 4 branch arms, 3
+
+def line(number, count, *arms, unexecuted_block=None):
+    """One `lines` item of a `gcov -b --json-format` file entry."""
+    return {
+        "line_number": number,
+        "count": count,
+        "unexecuted_block": count == 0 if unexecuted_block is None else unexecuted_block,
+        "function_name": "main",
+        "branches": [
+            {"count": n, "fallthrough": i == 0, "throw": False}
+            for i, n in enumerate(arms)
+        ],
+    }
+
+
+def entry(*lines, name="fixture.c"):
+    return {"file": name, "functions": [], "lines": list(lines)}
+
+
+# Hand-built gcov entry: 10 executable lines, 8 executed; 4 branch arms, 3
 # taken. Expected: line 80.00, branch 75.00.
-GCOV_FIXTURE = """\
-        -:    0:Source:fixture.c
-        -:    0:Runs:2
-        -:    1:#include <stdio.h>
-        2:    2:int main(void) {
-        2:    3:    int x = 0;
-        2:    4:    scanf("%d", &x);
-call    0 returned 2
-        2:    5:    if (x > 0) {
-branch  0 taken 1 (fallthrough)
-branch  1 taken 1
-        1:    6:        x = x + 1;
-        -:    7:    }
-        2:    8:    if (x > 5) {
-branch  0 taken 0 (fallthrough)
-branch  1 taken 2
-    #####:    9:        x = 0;
-        -:   10:    }
-        2:   11:    printf("%d", x);
-        2:   12:    x = x - 1;
-    #####:   13:    return x;
-        -:   14:}
-"""
+GCOV_FIXTURE = entry(
+    line(2, 2),
+    line(3, 2),
+    line(4, 2),
+    line(5, 2, 1, 1),
+    line(6, 1),
+    line(8, 2, 0, 2),
+    line(9, 0),
+    line(11, 2),
+    line(12, 2),
+    line(13, 0),
+)
 
 
 class TestParseGcov:
@@ -53,55 +61,45 @@ class TestParseGcov:
         assert report.missing_branches == (BranchGap(line=8, branch_id=0),)
 
     def test_no_branch_annotations_means_full_branch_coverage(self):
-        text = "        1:    1:int x = 0;\n"
-        report = parse_gcov(text)
+        report = parse_gcov(entry(line(1, 1)))
         assert report.branch_coverage == 100.0
         assert report.total_branches == 0
 
     def test_all_lines_unexecuted(self):
-        text = "    #####:    1:a;\n    #####:    2:b;\n"
-        report = parse_gcov(text)
+        report = parse_gcov(entry(line(1, 0), line(2, 0)))
         assert report.line_coverage == 0.0
         assert report.executed_lines == frozenset()
 
     def test_never_executed_branch_is_a_gap(self):
-        text = "        1:    4:if (x) {\nbranch  0 never executed\n"
-        report = parse_gcov(text)
+        report = parse_gcov(entry(line(4, 1, 0, 1)))
         assert report.missing_branches == (BranchGap(line=4, branch_id=0),)
 
-    def test_percentage_style_branch_counts(self):
-        text = (
-            "        3:    4:if (x) {\n"
-            "branch  0 taken 60%\n"
-            "branch  1 taken 0%\n"
+    def test_unexecuted_block_with_positive_count_is_executed(self):
+        report = parse_gcov(entry(line(7, 4, unexecuted_block=True)))
+        assert report.executed_lines == frozenset({7})
+
+    def test_line_listed_twice_is_merged(self):
+        # Two one-line functions on line 2: gcov lists the line once per function.
+        report = parse_gcov(entry(line(2, 3, 2, 1), line(2, 0, 0, 0), line(3, 1)))
+        assert report.executed_lines == frozenset({2, 3})
+        assert report.missing_lines == frozenset()
+        assert report.total_branches == 4
+        assert report.missing_branches == (
+            BranchGap(line=2, branch_id=2),
+            BranchGap(line=2, branch_id=3),
         )
-        report = parse_gcov(text)
-        assert report.taken_branches == 1
-        assert report.total_branches == 2
 
-    def test_exceptional_marker_counts_as_missing(self):
-        text = "    =====:    3:throw_helper();\n"
-        assert parse_gcov(text).missing_lines == frozenset({3})
-
-    def test_unrecognizable_count_column_raises(self):
-        junk = "    ??%%x:   12:    something();\n"
-        with pytest.raises(ParseError) as exc:
-            parse_gcov(junk)
-        assert junk[:50].rstrip("\n") in str(exc.value) or "??%%x" in str(exc.value)
-
-    def test_tool_chatter_ignored(self):
-        text = (
-            "function main called 2 returned 100% blocks executed 83%\n"
-            "        2:    3:int main(void) {\n"
-            "call    0 returned 2\n"
-            "Creating 'fixture.c.gcov'\n"
-        )
-        report = parse_gcov(text)
-        assert report.executed_lines == frozenset({3})
-
-    def test_asterisk_suffix_on_counts(self):
-        text = "        4*:    7:partial();\n"
-        assert parse_gcov(text).executed_lines == frozenset({7})
+    def test_malformed_document_raises(self):
+        for bad in (
+            {},
+            {"lines": [{"line_number": 1}]},
+            entry(line(1, "#####")),
+            entry({"line_number": "x", "count": 1, "branches": []}),
+            entry(line(1, 1) | {"branches": [{"taken": 1}]}),
+            [],
+        ):
+            with pytest.raises(ParseError):
+                parse_gcov(bad)
 
 
 class TestParseDynamicCoverage:
@@ -171,6 +169,12 @@ class TestArtifact:
         report = report_of({1, 3}, {2}, 2, 1, [BranchGap(3, 0)])
         path = emit_artifact(report, tmp_path / "cov.json")
         assert read_artifact(path) == report
+
+    def test_inconsistent_artifact_raises(self, tmp_path):
+        path = emit_artifact(report_of({1}, (), 2, 1, [BranchGap(1, 0)]), tmp_path / "cov.json")
+        path.write_text(path.read_text().replace('"taken_branches": 1', '"taken_branches": 2'))
+        with pytest.raises(ParseError):
+            read_artifact(path)
 
     def test_gap_entries_carry_taken_flag(self):
         text = render_artifact(report_of({1}, (), 1, 0, [BranchGap(1, 0)]))

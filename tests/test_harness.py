@@ -6,9 +6,9 @@ import pytest
 
 from conftest import CRASH_ON_NEGATIVE_C, ECHO_C, SPIN_FOREVER_C
 from covloop import harness
-from covloop.errors import CompileError
+from covloop.errors import CompileError, ToolInvocationError
 from covloop.evaluator import parse_dynamic_coverage, parse_gcov
-from covloop.model import Language, TestCase
+from covloop.model import BranchGap, Language, TestCase
 
 
 def prepare_c(tmp_path, source=ECHO_C, name="prog.c"):
@@ -118,6 +118,46 @@ class TestCollectRawCoverage:
         assert first.executed_lines <= second.executed_lines
         assert first.taken_branches < second.taken_branches
         assert second.branch_coverage == 100.0
+
+    def test_c_writes_no_gcov_file(self, tmp_path):
+        target = prepare_c(tmp_path)
+        harness.run_test(target, TestCase(("5",)), timeout=5.0)
+        harness.collect_raw_coverage(target)
+        assert list(target.build_dir.glob("*.gcov")) == []
+
+    def test_c_entries_for_other_files_ignored(self, tmp_path):
+        # `#line` makes gcov report helper() under a second file entry whose
+        # line numbers overlap this file's.
+        source = (
+            "#include <stdio.h>\n"
+            "static int twice(int v) { return 2 * v; }\n"
+            "#line 1 \"elsewhere.c\"\n"
+            "static int helper(int v) {\n"
+            "    if (v > 3)\n"
+            "        return 1;\n"
+            "    return 0;\n"
+            "}\n"
+            "#line 10 \"prog.c\"\n"
+            "int main(void) {\n"
+            "    int x = 0;\n"
+            "    if (scanf(\"%d\", &x) != 1) return 1;\n"
+            "    printf(\"%d %d\\n\", helper(x), twice(x));\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        target = prepare_c(tmp_path, source)
+        harness.run_test(target, TestCase(("5",)), timeout=5.0)
+        report = parse_gcov(harness.collect_raw_coverage(target))
+        assert report.executed_lines == frozenset({2, 10, 11, 12, 13, 14})
+        assert report.missing_lines == frozenset()
+        assert report.total_branches == 2
+        assert report.missing_branches == (BranchGap(line=12, branch_id=0),)
+
+    def test_c_source_without_entry_raises(self, tmp_path):
+        source = '#line 1 "elsewhere.c"\nint main(void) { return 0; }\n'
+        target = prepare_c(tmp_path, source)
+        with pytest.raises(ToolInvocationError):
+            harness.collect_raw_coverage(target)
 
     def test_python_before_any_run_reports_zero_counters(self, tmp_path):
         target = prepare_py(tmp_path, "x = input()\nprint(x)\n")

@@ -1,5 +1,6 @@
 """Tests for baseline prompt construction and refinement merging."""
 
+from covloop.backends import _prompt_kinds
 from covloop.model import (
     FeedbackOrigin,
     FeedbackRefinement,
@@ -11,6 +12,7 @@ from covloop.prompts import build_baseline_prompt, merge_refinements
 
 SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING), Language.PYTHON)
 SIG_0 = InputSignature(0, (), Language.PYTHON)
+SIG_ALL = InputSignature(len(InputKind), tuple(InputKind), Language.C)
 
 
 def line_fb(*refinements):
@@ -47,6 +49,12 @@ class TestBaselinePrompt:
         text = build_baseline_prompt(SIG_2, "").render()
         assert "boundary chars, negative integers, large extremes" in text
         assert '"test_cases" key containing a list of lists' in text
+
+    def test_stub_reads_signature_back(self):
+        # The stub parses the wording this module writes; a prompt edit that
+        # desyncs the two shows up here for every input kind.
+        for sig in (SIG_ALL, SIG_2, SIG_0):
+            assert _prompt_kinds(build_baseline_prompt(sig, "").render()) == list(sig.kinds)
 
     def test_deterministic(self):
         assert (
