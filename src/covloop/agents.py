@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import jsonschema
 
-from .backends import (
-    MISSING_BRANCHES_ANCHOR,
-    MISSING_LINES_ANCHOR,
-    SOURCE_ANCHOR,
-    CompletionBackend,
-    SchemaId,
-)
+from .backends import CompletionBackend, SchemaId
 from .cache import TestSuiteCache, canonical_key
 from .errors import ContractViolation, MalformedResponse, RateLimited
 from .model import BranchGap, FeedbackOrigin, FeedbackRefinement, TestCase
+from .prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, feedback_prompt
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +53,7 @@ _SCHEMAS = {
         },
     },
 }
+_DECODER = json.JSONDecoder()
 _VALIDATORS = {
     schema_id: jsonschema.Draft202012Validator(schema)
     for schema_id, schema in _SCHEMAS.items()
@@ -75,40 +71,15 @@ class AgentResponse:
 
 def extract_json_object(text: str) -> dict:
     """Pull the first JSON object out of possibly fenced or chatty text."""
-    try:
-        value = json.loads(text)
-        if isinstance(value, dict):
-            return value
-    except ValueError:
-        pass
     start = text.find("{")
     while start >= 0:
-        depth = 0
-        in_string = False
-        escape = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        value = json.loads(text[start : i + 1])
-                        if isinstance(value, dict):
-                            return value
-                    except ValueError:
-                        break
+        try:
+            value, _ = _DECODER.raw_decode(text, start)
+        except ValueError:
+            pass
+        else:
+            if isinstance(value, dict):
+                return value
         start = text.find("{", start + 1)
     raise ValueError("no JSON object found in completion text")
 
@@ -221,24 +192,6 @@ def parse_and_filter(
     return fresh
 
 
-def _feedback_prompt(kind: str, source: str, gap_line: str, current_prompt: str) -> str:
-    return "\n".join(
-        [
-            f"You analyze {kind} coverage gaps for a program under test.",
-            "Explain why the gaps were not reached and propose concrete prompt",
-            "refinements that will steer input generation into them.",
-            "Respond with a JSON object of this exact shape:",
-            '{"gap_explanation": string, "input_patterns": [string],',
-            ' "prompt_refinements": [string]} with prompt_refinements non-empty.',
-            SOURCE_ANCHOR,
-            source,
-            gap_line,
-            "CURRENT PROMPT:",
-            current_prompt,
-        ]
-    )
-
-
 def line_feedback(
     backend: CompletionBackend,
     source: str,
@@ -251,7 +204,7 @@ def line_feedback(
     gap_line = MISSING_LINES_ANCHOR + " " + ", ".join(
         str(n) for n in sorted(missing_lines)
     )
-    prompt = _feedback_prompt("statement", source, gap_line, current_prompt)
+    prompt = feedback_prompt("statement", source, gap_line, current_prompt)
     response = complete(backend, prompt, SchemaId.REFINEMENT)
     return _refinement_from_payload(FeedbackOrigin.LINE, response.parsed)
 
@@ -270,7 +223,7 @@ def branch_feedback(
     gap_line = MISSING_BRANCHES_ANCHOR + " " + "; ".join(
         f"line {gap.line} arm {gap.branch_id}" for gap in sorted(missing_branches)
     )
-    prompt = _feedback_prompt("branch", source, gap_line, current_prompt)
+    prompt = feedback_prompt("branch", source, gap_line, current_prompt)
     response = complete(backend, prompt, SchemaId.REFINEMENT)
     return _refinement_from_payload(FeedbackOrigin.BRANCH, response.parsed)
 

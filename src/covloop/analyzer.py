@@ -1,19 +1,21 @@
 """Input-signature extraction from target source text.
 
-The scan is lexical, not a full parse: comments and string-literal contents
-are blanked out first (placeholders keep offsets stable), then read sites are
-matched by pattern. Reads inside loops are counted once per textual site and
-flagged with a warning, since their runtime repetition count is not statically
-known here.
+Python sources are parsed with `ast`: a read is a bare `input(...)` call.
+C sources are scanned lexically: comments and literal contents are blanked
+first (offsets and line breaks stay put), then `scanf`/`fscanf(stdin, ...)`
+calls are matched and their format strings classified. Reads inside loops are
+counted once per textual site and flagged with a warning, since their runtime
+repetition count is not statically known here.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import UnsupportedLanguage
+from .errors import CompileError, UnsupportedLanguage
 from .model import InputKind, InputSignature, Language
 
 
@@ -52,89 +54,54 @@ def extract_input_signature(
 
 # --- Python scanning ---
 
-_PY_READ = re.compile(r"(?:\b(int|float)\s*\(\s*)?\binput\s*\(")
-_PY_LOOP_HEADER = re.compile(r"^\s*(?:while|for)\b")
-_PY_BLOCK_HEADER = re.compile(r"^\s*(?:def|class|if|elif|else|try|except|finally|with)\b")
+_PY_CASTS = {"int": InputKind.INTEGER, "float": InputKind.FLOAT}
 
 
 def _scan_python(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
-    blanked = _blank_python(source)
+    try:
+        tree = ast.parse(source, "<target>")
+    except (SyntaxError, ValueError) as exc:
+        raise CompileError(f"target does not parse: {exc}") from None
+    reads: list[tuple[int, int, InputKind, bool]] = []
+    cast_args: dict[int, InputKind] = {}  # id of a cast's first argument -> cast
+    reads_stdin = False
+    stack: list[tuple[ast.AST, bool]] = [(tree, False)]
+    while stack:
+        node, in_loop = stack.pop()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "input":
+                kind = cast_args.get(id(node), InputKind.STRING)
+                reads.append((node.lineno, node.col_offset, kind, in_loop))
+            elif node.func.id in _PY_CASTS and node.args:
+                cast_args[id(node.args[0])] = _PY_CASTS[node.func.id]
+        elif (
+            isinstance(node, ast.Attribute) and node.attr == "stdin"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        ):
+            reads_stdin = True
+        for field, value in ast.iter_fields(node):
+            # Only a loop's body repeats a read; its header and else: run once.
+            child_in_loop = in_loop or (
+                field == "body" and isinstance(node, (ast.For, ast.While))
+            )
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, ast.AST):
+                    stack.append((child, child_in_loop))
+
     kinds: list[InputKind] = []
     warnings: list[AnalyzerWarning] = []
-    for m in _PY_READ.finditer(blanked):
-        lineno = blanked.count("\n", 0, m.start()) + 1
-        cast = m.group(1)
-        if cast == "int":
-            kinds.append(InputKind.INTEGER)
-        elif cast == "float":
-            kinds.append(InputKind.FLOAT)
-        else:
-            kinds.append(InputKind.STRING)
-        if _python_line_in_loop(blanked, lineno):
+    for lineno, _, kind, in_loop in sorted(reads):
+        kinds.append(kind)
+        if in_loop:
             warnings.append(
                 AnalyzerWarning(
                     "stdin read inside a loop; counted once per textual site",
                     line=lineno,
                 )
             )
-    if re.search(r"\bsys\s*\.\s*stdin\b", blanked):
+    if reads_stdin:
         warnings.append(AnalyzerWarning("direct sys.stdin access is not classified"))
     return kinds, warnings
-
-
-def _python_line_in_loop(blanked: str, lineno: int) -> bool:
-    """Climb enclosing blocks by indentation; true when any is a loop header."""
-    lines = blanked.split("\n")
-    indent = _indent_of(lines[lineno - 1])
-    for i in range(lineno - 2, -1, -1):
-        line = lines[i]
-        if not line.strip():
-            continue
-        this_indent = _indent_of(line)
-        if this_indent < indent:
-            if _PY_LOOP_HEADER.match(line):
-                return True
-            if not _PY_BLOCK_HEADER.match(line):
-                return False
-            indent = this_indent
-            if indent == 0:
-                return False
-    return False
-
-
-def _indent_of(line: str) -> int:
-    return len(line) - len(line.lstrip(" \t"))
-
-
-def _blank_python(source: str) -> str:
-    """Replace comment and string-literal contents with spaces, same length."""
-    out = list(source)
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif ch in "\"'":
-            quote = source[i : i + 3] if source[i : i + 3] in ('"""', "'''") else ch
-            i += len(quote)
-            while i < n:
-                if source[i] == "\\":
-                    out[i] = " "
-                    if i + 1 < n:
-                        out[i + 1] = " "
-                    i += 2
-                    continue
-                if source.startswith(quote, i):
-                    i += len(quote)
-                    break
-                if source[i] != "\n":
-                    out[i] = " "
-                i += 1
-        else:
-            i += 1
-    return "".join(out)
 
 
 # --- C scanning ---
@@ -149,13 +116,22 @@ _C_KIND_BY_CONV = {
     "c": InputKind.CHAR,
     "s": InputKind.STRING,
 }
-_C_LENGTH_MODIFIERS = set("hlLjzt")
+# One conversion per match. Group 1 is empty for "%%" and for a "%" dangling at
+# the end; `.?` rather than `.` keeps a trailing "%l" from backtracking into
+# the length modifiers and reading "l" as the conversion.
+_C_CONVERSION = re.compile(r"%(?:%|\*?\d*[hlLjzt]*(\[\^?\]?[^\]]*\]?|.?))", re.S)
+# Comments (an unclosed block comment runs to the end) and closed string or
+# char literals; group 1 is a string literal's raw content.
+_C_LEXEME = re.compile(
+    r'//[^\n]*|/\*.*?(?:\*/|\Z)|"((?:[^"\\\n]|\\.)*)"|\'(?:[^\'\\\n]|\\.)*\'',
+    re.S,
+)
+_NOT_NEWLINE = re.compile(r"[^\n]")
 _C_UNCOUNTED_READS = re.compile(r"\b(?:getchar|gets)\s*\(|\bfgets\s*\([^)]*\bstdin\b")
 
 
 def _scan_c(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
-    decommented = _strip_c_comments(source)
-    blanked, strings = _blank_c_strings(decommented)
+    blanked, strings = _blank_c_lexemes(source)
     kinds: list[InputKind] = []
     warnings: list[AnalyzerWarning] = []
     loop_lines = _c_loop_lines(blanked)
@@ -213,108 +189,36 @@ def _format_string_for_call(
 
 
 def _parse_conversions(fmt: str) -> tuple[list[InputKind], list[str]]:
-    """Walk one format string, yielding a kind per conversion specifier."""
+    """A kind per conversion specifier of one format string, and the unclassified ones."""
     kinds: list[InputKind] = []
     unknown: list[str] = []
-    i, n = 0, len(fmt)
-    while i < n:
-        if fmt[i] != "%":
-            i += 1
-            continue
-        i += 1
-        if i < n and fmt[i] == "%":  # literal percent, not a conversion
-            i += 1
-            continue
-        if i < n and fmt[i] == "*":  # assignment-suppressed, still consumes input
-            i += 1
-        while i < n and fmt[i].isdigit():  # field width
-            i += 1
-        while i < n and fmt[i] in _C_LENGTH_MODIFIERS:
-            i += 1
-        if i >= n:
-            break
-        conv = fmt[i]
-        if conv == "[":  # scanset reads a string; skip to closing bracket
-            j = i + 1
-            if j < n and fmt[j] == "^":
-                j += 1
-            if j < n and fmt[j] == "]":
-                j += 1
-            while j < n and fmt[j] != "]":
-                j += 1
-            kinds.append(InputKind.STRING)
-            unknown.append(fmt[i : min(j + 1, n)])
-            i = j + 1
+    for m in _C_CONVERSION.finditer(fmt):
+        conv = m.group(1)
+        if not conv:
             continue
         kind = _C_KIND_BY_CONV.get(conv)
         if kind is None:
-            kinds.append(InputKind.STRING)
             unknown.append(conv)
-        else:
-            kinds.append(kind)
-        i += 1
+        kinds.append(kind or InputKind.STRING)
     return kinds, unknown
 
 
-def _strip_c_comments(source: str) -> str:
-    out = list(source)
-    i, n = 0, len(source)
-    in_string: str | None = None
-    while i < n:
-        ch = source[i]
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == in_string:
-                in_string = None
-            i += 1
-        elif ch in "\"'":
-            in_string = ch
-            i += 1
-        elif source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            end = n if end == -1 else end + 2
-            for j in range(i, end):
-                if source[j] != "\n":
-                    out[j] = " "
-            i = end
-        else:
-            i += 1
-    return "".join(out)
+def _blank_c_lexemes(source: str) -> tuple[str, dict[int, str]]:
+    """Blank comments and literal contents, keeping quotes and line breaks.
 
-
-def _blank_c_strings(source: str) -> tuple[str, dict[int, str]]:
-    """Blank string/char literal contents; return {literal_start: content}."""
-    out = list(source)
+    Returns the blanked text and {string literal start: raw content}.
+    """
     strings: dict[int, str] = {}
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch in "\"'":
-            start = i
-            i += 1
-            content: list[str] = []
-            while i < n and source[i] != ch:
-                if source[i] == "\\" and i + 1 < n:
-                    content.append(source[i : i + 2])
-                    out[i] = out[i + 1] = " "
-                    i += 2
-                    continue
-                content.append(source[i])
-                if source[i] != "\n":
-                    out[i] = " "
-                i += 1
-            i += 1  # closing quote
-            if ch == '"':
-                strings[start] = "".join(content)
-        else:
-            i += 1
-    return "".join(out), strings
+
+    def blank(m: re.Match) -> str:
+        text = m.group()
+        if text[0] not in "\"'":
+            return _NOT_NEWLINE.sub(" ", text)
+        if m.group(1) is not None:
+            strings[m.start()] = m.group(1)
+        return text[0] + _NOT_NEWLINE.sub(" ", text[1:-1]) + text[0]
+
+    return _C_LEXEME.sub(blank, source), strings
 
 
 def _c_loop_lines(blanked: str) -> set[int]:

@@ -24,14 +24,16 @@ import requests
 
 from .errors import ContractViolation, RateLimited, TransportError
 from .model import BackendKind, InputKind, RunConfig
-from .prompts import FOCUS_HEADER, INPUT_COUNT_RE, INPUT_KIND_RE
+from .prompts import (
+    FOCUS_HEADER,
+    INPUT_COUNT_RE,
+    INPUT_KIND_RE,
+    MISSING_BRANCHES_ANCHOR,
+    MISSING_LINES_ANCHOR,
+    SOURCE_ANCHOR,
+)
 
 API_KEY_ENV = "COVLOOP_API_KEY"
-
-# Anchors shared between the feedback prompt builders and the stub's parser.
-SOURCE_ANCHOR = "SOURCE CODE:"
-MISSING_LINES_ANCHOR = "MISSING LINES:"
-MISSING_BRANCHES_ANCHOR = "MISSING BRANCHES:"
 
 
 class SchemaId(enum.Enum):

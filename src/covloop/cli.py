@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, workdir: Path, bound: str | None) -> RunConfig:
+def _config_from_args(args, workdir: Path) -> RunConfig:
     return RunConfig(
         threshold=args.threshold,
         k_max=args.max_iters,
@@ -73,7 +73,6 @@ def _config_from_args(args, workdir: Path, bound: str | None) -> RunConfig:
         backend=BackendKind(args.backend),
         model_id=args.model,
         workdir=workdir,
-        bound=bound,
         endpoint=args.endpoint,
         line_feedback_enabled=not args.no_line_feedback,
         branch_feedback_enabled=not args.no_branch_feedback,
@@ -81,7 +80,7 @@ def _config_from_args(args, workdir: Path, bound: str | None) -> RunConfig:
 
 
 def cli_run(args) -> int:
-    config = _config_from_args(args, args.out, args.bound)
+    config = _config_from_args(args, args.out)
     try:
         result = run_loop(config, args.source)
     except CovloopError as exc:
@@ -133,7 +132,7 @@ def bench_run(args) -> int:
         path, bound = entry
         label = bound or "-"
         workdir = out / f"{path.stem}__{label}"
-        config = _config_from_args(args, workdir, bound)
+        config = _config_from_args(args, workdir)
         try:
             return path.stem, label, run_loop(config, path)
         except (CovloopError, OSError) as exc:

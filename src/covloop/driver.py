@@ -39,6 +39,9 @@ from .prompts import build_baseline_prompt, merge_refinements
 
 log = logging.getLogger(__name__)
 
+# Most recent cache entries echoed in the generation prompt.
+CACHE_PROMPT_LIMIT = 200
+
 
 @dataclass
 class RunResult:
@@ -90,7 +93,7 @@ def run_loop(
     for k in range(config.k_max):
         iter_started = time.monotonic()
         bundle = build_baseline_prompt(
-            signature, cache.summary_for_prompt(config.cache_prompt_limit)
+            signature, cache.summary_for_prompt(CACHE_PROMPT_LIMIT)
         )
         bundle = merge_refinements(bundle, line_fb, branch_fb)
         prompt_text = bundle.render()
@@ -182,30 +185,21 @@ def _gather_feedback(
     report: CoverageReport,
     prompt_text: str,
 ) -> tuple[FeedbackRefinement | None, FeedbackRefinement | None]:
-    """Run both analysts for this iteration's gaps, concurrently when both apply."""
+    """Run the analysts this iteration's gaps call for, concurrently."""
     want_line = config.line_feedback_enabled and bool(report.missing_lines)
     want_branch = config.branch_feedback_enabled and bool(report.missing_branches)
-    if want_line and want_branch:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            line_future = pool.submit(
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = (
+            pool.submit(
                 agents.line_feedback, backend, source,
                 report.missing_lines, prompt_text,
-            )
-            branch_future = pool.submit(
+            ) if want_line else None,
+            pool.submit(
                 agents.branch_feedback, backend, source,
                 list(report.missing_branches), prompt_text,
-            )
-            return line_future.result(), branch_future.result()
-    line_fb = (
-        agents.line_feedback(backend, source, report.missing_lines, prompt_text)
-        if want_line else None
-    )
-    branch_fb = (
-        agents.branch_feedback(
-            backend, source, list(report.missing_branches), prompt_text
+            ) if want_branch else None,
         )
-        if want_branch else None
-    )
+        line_fb, branch_fb = (f.result() if f else None for f in futures)
     return line_fb, branch_fb
 
 

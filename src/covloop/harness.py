@@ -89,7 +89,8 @@ def prepare_target(
     """Set up the workdir and produce an instrumented, runnable target."""
     check_toolchain(language)
     source_path = Path(source_path)
-    workdir = Path(workdir)
+    # Targets run from inside the build directory, so paths must not be relative.
+    workdir = Path(workdir).resolve()
     target = PreparedTarget(
         language=language,
         workdir=workdir,

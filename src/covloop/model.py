@@ -173,9 +173,7 @@ class RunConfig:
     backend: BackendKind = BackendKind.STUB
     model_id: str = "stub"
     workdir: Path = Path("covloop_out")
-    bound: str | None = None
     endpoint: str | None = None
-    cache_prompt_limit: int = 200
     line_feedback_enabled: bool = True
     branch_feedback_enabled: bool = True
 
@@ -186,8 +184,6 @@ class RunConfig:
             raise ContractViolation(f"k_max must be >= 1: {self.k_max}")
         if self.per_test_timeout <= 0:
             raise ContractViolation("per_test_timeout must be positive")
-        if self.cache_prompt_limit < 0:
-            raise ContractViolation("cache_prompt_limit must be >= 0")
 
 
 @dataclass(frozen=True)

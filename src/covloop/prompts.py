@@ -1,4 +1,4 @@
-"""Generation-prompt construction and refinement merging.
+"""Generation- and feedback-prompt construction and refinement merging.
 
 The baseline prompt states exactly how many stdin values the target reads and
 of which kinds, demands a strict JSON reply, and echoes already-generated
@@ -24,6 +24,10 @@ OUTPUT_FORMAT_INSTRUCTION = (
 )
 CACHE_HEADER = "Previously generated values:"
 FOCUS_HEADER = "Additional Focus Areas:"
+# Feedback-prompt anchors; the stub backend locates the source and gaps by them.
+SOURCE_ANCHOR = "SOURCE CODE:"
+MISSING_LINES_ANCHOR = "MISSING LINES:"
+MISSING_BRANCHES_ANCHOR = "MISSING BRANCHES:"
 # The stub backend reads the input signature back out of a rendered prompt
 # with these; they parse the wording build_baseline_prompt writes.
 INPUT_COUNT_RE = re.compile(r"calls input exactly (\d+) times")
@@ -112,3 +116,22 @@ def merge_refinements(
         for refinement in entry.refinements:
             lines.append(f"- {refinement}")
     return replace(base, focus_section="\n".join(lines))
+
+
+def feedback_prompt(kind: str, source: str, gap_line: str, current_prompt: str) -> str:
+    """Render a gap analyst's prompt for `kind` ("statement" or "branch") gaps."""
+    return "\n".join(
+        [
+            f"You analyze {kind} coverage gaps for a program under test.",
+            "Explain why the gaps were not reached and propose concrete prompt",
+            "refinements that will steer input generation into them.",
+            "Respond with a JSON object of this exact shape:",
+            '{"gap_explanation": string, "input_patterns": [string],',
+            ' "prompt_refinements": [string]} with prompt_refinements non-empty.',
+            SOURCE_ANCHOR,
+            source,
+            gap_line,
+            "CURRENT PROMPT:",
+            current_prompt,
+        ]
+    )

@@ -44,6 +44,8 @@ class TestPythonScan:
         sig, _ = extract_input_signature("print('hello')", Language.PYTHON)
         assert sig.count == 0
         assert sig.kinds == ()
+        assert kinds_of("obj.input()", Language.PYTHON) == []
+        assert kinds_of("def input(prompt=''):\n    return '1'\n", Language.PYTHON) == []
 
     def test_prompt_argument_does_not_confuse(self):
         assert kinds_of('x = int(input("enter x: "))', Language.PYTHON) == [INT]
@@ -66,6 +68,9 @@ class TestPythonScan:
 
     def test_read_after_loop_block_does_not_warn(self):
         source = "for i in range(3):\n    print(i)\nv = input()\n"
+        _, warnings = extract_input_signature(source, Language.PYTHON)
+        assert not any("loop" in w.message for w in warnings)
+        source = "for i in range(3):\n    print(i)\nelse:\n    v = input()\n"
         _, warnings = extract_input_signature(source, Language.PYTHON)
         assert not any("loop" in w.message for w in warnings)
 
@@ -92,6 +97,7 @@ class TestCScan:
 
     def test_literal_percent_not_a_read(self):
         assert kinds_of('scanf("100%% %d", &x);', Language.C) == [INT]
+        assert kinds_of('scanf("%d%", &x);', Language.C) == [INT]
 
     def test_width_skipped(self):
         assert kinds_of('scanf("%5d %10s", &x, s);', Language.C) == [INT, STR]
@@ -121,6 +127,7 @@ class TestCScan:
 
     def test_scanf_word_in_string_not_counted(self):
         assert kinds_of('printf("scanf(%d) docs");', Language.C) == []
+        assert kinds_of('char q = \'"\';\nscanf("%d", &x);', Language.C) == [INT]
 
     def test_loop_read_warns(self):
         source = 'int main(){int i,x;for(i=0;i<3;i++){scanf("%d",&x);}return 0;}'

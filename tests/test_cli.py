@@ -30,6 +30,21 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    def test_default_relative_out_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, source in (("guard.c", GUARD_C), ("guard.py", GUARD_PY)):
+            (tmp_path / name).write_text(source)
+            assert main(["run", name]) == 0
+            assert "branch coverage: 100.00%" in capsys.readouterr().out
+        assert (tmp_path / "covloop_out" / "result.json").exists()
+
+    def test_unparsable_python_target_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "bad.py"
+        target.write_text("def f(:\n")
+        code = main(["run", str(target), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: target does not parse:" in capsys.readouterr().err
+
     def test_usage_error_exits_64(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing source argument
