@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="completion endpoint URL (http backend)")
         p.add_argument("--out", type=Path, default=Path("covloop_out"),
                        help="output directory (default covloop_out)")
-        p.add_argument("--bound", default=None,
-                       help="benchmark bound label, reported as-is")
         p.add_argument("--no-line-feedback", action="store_true")
         p.add_argument("--no-branch-feedback", action="store_true")
 
@@ -62,6 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(bench_p)
     bench_p.add_argument("--jobs", type=int, default=1,
                          help="parallel targets (default 1)")
+    bench_p.add_argument("--bound", default=None,
+                         help="bound label for targets directly in the directory")
     return parser
 
 
@@ -83,10 +83,7 @@ def cli_run(args) -> int:
     config = _config_from_args(args, args.out)
     try:
         result = run_loop(config, args.source)
-    except CovloopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CovloopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -139,11 +136,8 @@ def bench_run(args) -> int:
             log.error("target %s failed: %s", path, exc)
             return path.stem, label, f"ERROR: {exc}"
 
-    if args.jobs > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(one, targets))
-    else:
-        rows = [one(t) for t in targets]
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        rows = list(pool.map(one, targets))
     rows.sort(key=lambda r: (r[0], r[1]))
 
     _write_reports(out, rows)

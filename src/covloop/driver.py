@@ -76,8 +76,6 @@ def run_loop(
 
     backend = backend or make_backend(config)
     target = harness.prepare_target(source_path, language, config.workdir)
-    prompts_dir = target.workdir / "prompts"
-    prompts_dir.mkdir(parents=True, exist_ok=True)
 
     cache = TestSuiteCache()
     line_fb: FeedbackRefinement | None = None
@@ -97,7 +95,7 @@ def run_loop(
         )
         bundle = merge_refinements(bundle, line_fb, branch_fb)
         prompt_text = bundle.render()
-        (prompts_dir / f"iter_{k}.txt").write_text(prompt_text, encoding="utf-8")
+        (target.prompts_dir / f"iter_{k}.txt").write_text(prompt_text, encoding="utf-8")
 
         try:
             response = agents.complete(backend, prompt_text, SchemaId.TEST_CASES)
@@ -167,7 +165,9 @@ def run_loop(
         cache=cache,
         workdir=target.workdir,
     )
-    _write_result(result)
+    target.result_path.write_text(
+        json.dumps(result_dict(result), indent=2) + "\n", encoding="utf-8"
+    )
     return result
 
 
@@ -227,10 +227,3 @@ def result_dict(result: RunResult) -> dict:
             for r in result.iterations
         ],
     }
-
-
-def _write_result(result: RunResult) -> None:
-    path = result.workdir / "result.json"
-    path.write_text(
-        json.dumps(result_dict(result), indent=2) + "\n", encoding="utf-8"
-    )

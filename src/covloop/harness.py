@@ -1,16 +1,22 @@
 """Target preparation and instrumented execution.
 
-Each run owns a private workdir with a fixed layout:
+Each run owns a workdir with a fixed layout:
 
-    build/        compiled binary or copied script plus instrumentation files
-    coverage/     per-iteration coverage artifacts and the trace data store
-    TestCases/    persisted novel test inputs
-    manifest.json tool versions and flags used, for reproducibility
+    build/         compiled binary, or copied script and tracer; instrumentation
+    coverage/      iter_<k>.json coverage artifacts; trace.jsonl, the Python trace store
+    TestCases/     persisted novel test inputs
+    prompts/       iter_<k>.txt, the generation prompt of each iteration
+    manifest.json  tool versions and flags used, for reproducibility
+    result.json    written by the loop driver when the run ends
+
+Preparing a target removes these entries, and only these, so a reused
+workdir shows only the last run. A workdir that holds any of them without a
+manifest.json written by covloop is refused, so `.` keeps its own `build/`.
 
 C targets are compiled with gcc profile instrumentation and read back through
 `gcov -b --json-format --stdout`, so gcov must accept those flags (tested
 with GCC 12.2); no `.gcov` file is written. Python targets run under the
-bundled tracer.
+bundled tracer, which appends one record per test to the trace store.
 Coverage accumulates across runs of one prepared target and is never reset
 within a run, so reported coverage is monotone over the loop.
 """
@@ -18,7 +24,6 @@ within a run, so reported coverage is monotone over the loop.
 from __future__ import annotations
 
 import json
-import logging
 import shutil
 import subprocess
 import sys
@@ -30,13 +35,12 @@ from pathlib import Path
 from . import pytrace
 from .errors import (
     CompileError,
+    ContractViolation,
     MissingToolchain,
     SpawnError,
     ToolInvocationError,
 )
 from .model import Language, TestCase
-
-log = logging.getLogger(__name__)
 
 GCC_COVERAGE_FLAGS = ["-fprofile-arcs", "-ftest-coverage", "-O0"]
 GCOV_FLAGS = ["-b", "--json-format", "--stdout"]  # without -b: no branches
@@ -63,8 +67,16 @@ class PreparedTarget:
         return self.workdir / "TestCases"
 
     @property
+    def prompts_dir(self) -> Path:
+        return self.workdir / "prompts"
+
+    @property
+    def result_path(self) -> Path:
+        return self.workdir / "result.json"
+
+    @property
     def data_store(self) -> Path:
-        return self.coverage_dir / "pytrace.json"
+        return self.coverage_dir / "trace.jsonl"
 
 
 @dataclass(frozen=True)
@@ -97,8 +109,24 @@ def prepare_target(
         executable_or_script=workdir,  # placeholder until built below
         source_name=source_path.name,
     )
-    for directory in (target.build_dir, target.coverage_dir, target.testcases_dir):
-        directory.mkdir(parents=True, exist_ok=True)
+    directories = (target.build_dir, target.coverage_dir,
+                   target.testcases_dir, target.prompts_dir)
+    if any(source_path.resolve().is_relative_to(d) for d in directories):
+        raise ContractViolation(f"{source_path} is in a directory each run resets")
+    manifest = workdir / "manifest.json"
+    entries = (*directories, manifest, target.result_path)
+    if any(e.exists() for e in entries) and not _is_covloop_manifest(manifest):
+        raise ContractViolation(
+            f"{workdir} holds entries a run resets but no covloop manifest.json;"
+            " refusing to delete them, choose an empty or covloop-made workdir")
+    for directory in directories:
+        if directory.exists():
+            shutil.rmtree(directory)
+        directory.mkdir(parents=True)
+    target.result_path.unlink(missing_ok=True)
+    # Written before the build, so a failed build still leaves a workdir
+    # that the next run recognises as its own.
+    _write_manifest(target)
 
     local_source = target.build_dir / source_path.name
     shutil.copyfile(source_path, local_source)
@@ -107,13 +135,17 @@ def prepare_target(
         _compile_c(target, local_source)
     else:
         target.executable_or_script = local_source
-        tracer = target.build_dir / _TRACER_NAME
-        shutil.copyfile(pytrace.__file__, tracer)
-        if target.data_store.exists():
-            target.data_store.unlink()  # each prepared target starts fresh
-
-    _write_manifest(target)
+        shutil.copyfile(Path(__file__).with_name(_TRACER_NAME),
+                        target.build_dir / _TRACER_NAME)
     return target
+
+
+def _is_covloop_manifest(path: Path) -> bool:
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    return isinstance(manifest, dict) and {"language", "source"} <= manifest.keys()
 
 
 def _compile_c(target: PreparedTarget, local_source: Path) -> None:
@@ -148,8 +180,6 @@ def _write_manifest(target: PreparedTarget) -> None:
         manifest["gcov"] = _tool_version("gcov")
         manifest["compile_flags"] = GCC_COVERAGE_FLAGS
         manifest["gcov_flags"] = GCOV_FLAGS
-    else:
-        manifest["tracer"] = pytrace.EXPORT_FORMAT
     (target.workdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
@@ -193,6 +223,11 @@ def run_test(
             cwd=target.build_dir,
         )
     except subprocess.TimeoutExpired as exc:
+        if target.language is Language.PYTHON and target.data_store.exists():
+            # A tracer killed mid-write leaves a cut-off record; drop it so
+            # the next test's record starts on a line of its own.
+            with open(target.data_store, "rb+") as store:
+                store.truncate(store.read().rfind(b"\n") + 1)
         return ExecutionOutcome(
             exit_status=None,
             timed_out=True,

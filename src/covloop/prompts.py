@@ -37,15 +37,6 @@ INPUT_KIND_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class FocusEntry:
-    """One agent's contribution to the focus section."""
-
-    label: str
-    gap_explanation: str
-    refinements: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     """The structured generation prompt for one iteration."""
 
@@ -95,25 +86,17 @@ def merge_refinements(
     assigned per iteration, not appended across iterations. With no feedback
     at all the bundle renders identically to the baseline.
     """
-    entries = []
-    if line_fb is not None:
-        entries.append(
-            FocusEntry("line coverage", line_fb.gap_explanation,
-                       tuple(line_fb.prompt_refinements))
-        )
-    if branch_fb is not None:
-        entries.append(
-            FocusEntry("branch coverage", branch_fb.gap_explanation,
-                       tuple(branch_fb.prompt_refinements))
-        )
+    entries = [(label, fb) for label, fb in
+               (("line coverage", line_fb), ("branch coverage", branch_fb))
+               if fb is not None]
     if not entries:
         return replace(base, focus_section=None)
 
     lines = [FOCUS_HEADER]
-    for entry in entries:
-        explanation = " ".join(entry.gap_explanation.split()) or "coverage gap"
-        lines.append(f"- [{entry.label}] {explanation}")
-        for refinement in entry.refinements:
+    for label, fb in entries:
+        explanation = " ".join(fb.gap_explanation.split()) or "coverage gap"
+        lines.append(f"- [{label}] {explanation}")
+        for refinement in fb.prompt_refinements:
             lines.append(f"- {refinement}")
     return replace(base, focus_section="\n".join(lines))
 

@@ -1,12 +1,10 @@
-"""Line and branch tracing for Python targets.
+"""Line and branch coverage for Python targets, from the tracer's store.
 
-This file plays two roles:
-
-* Imported as a module, it provides the static analysis (executable lines,
-  branch sites) and turns an accumulated trace store into a coverage export.
-* Copied into a run's build directory and executed as a script, it runs the
-  target under sys.settrace, feeds its exit code through, and merges the
-  observed lines/arcs into a JSON store (append semantics across runs).
+The runtime tracer (`_covtrace.py`, copied into a run's build directory)
+appends one record of observed lines, arcs and frame-exit lines per test to a
+JSON-lines trace store. This module reads that store back, finds the
+executable lines and branch sites of the source, and combines the two into a
+coverage export.
 
 Branch model: each if/while/for statement contributes two outcome arms, arm 0
 entering the body and arm 1 skipping to the else/exit side. Arm execution is
@@ -21,15 +19,11 @@ from __future__ import annotations
 
 import ast
 import json
-import os
-import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import CodeType
 
-EXPORT_FORMAT = "covloop-pytrace-v1"
-
-
-# --- static analysis ---
+from .errors import ParseError
 
 
 def executable_lines(source: str, filename: str = "<target>") -> set[int]:
@@ -87,120 +81,49 @@ def _arm_states(
     return body_taken, else_taken
 
 
-def build_export(source: str, store: dict) -> dict:
-    """Combine static structure with an accumulated trace store."""
+def build_export(source: str, store: dict[str, set]) -> dict:
+    """Combine static structure with a loaded trace store."""
     known = executable_lines(source)
-    traced = {int(l) for l in store.get("lines", [])}
-    executed = sorted(known & traced)
-    missing = sorted(known - traced)
-    arcs = {(int(a), int(b)) for a, b in store.get("arcs", [])}
-    exits = {int(l) for l in store.get("exits", [])}
-
-    total = 0
-    covered = 0
-    missing_arms: list[dict] = []
-    for site in branch_sites(source):
-        states = _arm_states(site, arcs, exits)
-        for arm_id, taken in enumerate(states):
-            total += 1
-            if taken:
-                covered += 1
-            else:
-                missing_arms.append({"line": site.line, "branch_id": arm_id})
+    arms = [
+        (site.line, arm_id, taken)
+        for site in branch_sites(source)
+        for arm_id, taken in enumerate(_arm_states(site, store["arcs"], store["exits"]))
+    ]
     return {
-        "format": EXPORT_FORMAT,
-        "executed_lines": executed,
-        "missing_lines": missing,
-        "branches": {"total": total, "covered": covered, "missing": missing_arms},
+        "executed_lines": sorted(known & store["lines"]),
+        "missing_lines": sorted(known - store["lines"]),
+        "branches": {
+            "total": len(arms),
+            "covered": sum(taken for _, _, taken in arms),
+            "missing": [
+                {"line": line, "branch_id": arm_id}
+                for line, arm_id, taken in arms
+                if not taken
+            ],
+        },
     }
 
 
-def empty_store() -> dict:
-    return {"lines": [], "arcs": [], "exits": []}
+def load_store(path: Path) -> dict[str, set]:
+    """The union of a trace store's records: `lines`, `arcs` and `exits` sets.
 
-
-def load_store(path: str | os.PathLike) -> dict:
+    A missing store means no runs. A last line without its newline is a
+    record cut off when its test was killed mid-write, and is skipped. Any
+    other line that is not a record raises ParseError.
+    """
+    store: dict[str, set] = {"lines": set(), "arcs": set(), "exits": set()}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (FileNotFoundError, ValueError):
-        return empty_store()
-
-
-def merge_into_store(
-    path: str | os.PathLike,
-    lines: set[int],
-    arcs: set[tuple[int, int]],
-    exits: set[int],
-) -> None:
-    store = load_store(path)
-    lines |= {int(l) for l in store.get("lines", [])}
-    arcs |= {(int(a), int(b)) for a, b in store.get("arcs", [])}
-    exits |= {int(l) for l in store.get("exits", [])}
-    merged = {
-        "lines": sorted(lines),
-        "arcs": sorted(list(a) for a in arcs),
-        "exits": sorted(exits),
-    }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh)
-    os.replace(tmp, path)
-
-
-# --- tracer entry point (run as a copied script inside the build dir) ---
-
-
-def _run_traced(store_path: str, script_path: str, argv: list[str]) -> int:
-    import runpy
-    import traceback
-
-    target = os.path.abspath(script_path)
-    lines: set[int] = set()
-    arcs: set[tuple[int, int]] = set()
-    exits: set[int] = set()
-    last_line: dict[int, int] = {}
-
-    def tracer(frame, event, arg):
-        if frame.f_code.co_filename != target:
-            return None
-        if event == "call":
-            return tracer
-        if event == "line":
-            key = id(frame)
-            cur = frame.f_lineno
-            lines.add(cur)
-            prev = last_line.get(key)
-            if prev is not None:
-                arcs.add((prev, cur))
-            last_line[key] = cur
-        elif event == "return":
-            exits.add(frame.f_lineno)
-            last_line.pop(id(frame), None)
-        return tracer
-
-    sys.argv = [target] + argv
-    exit_code = 0
-    sys.settrace(tracer)
-    try:
-        runpy.run_path(target, run_name="__main__")
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            exit_code = exc.code
-        elif exc.code is not None:
-            print(exc.code, file=sys.stderr)
-            exit_code = 1
-    except BaseException:
-        traceback.print_exc()
-        exit_code = 1
-    finally:
-        sys.settrace(None)
-    merge_into_store(store_path, lines, arcs, exits)
-    return exit_code
-
-
-if __name__ == "__main__":
-    if len(sys.argv) < 3:
-        print("usage: pytrace.py <store.json> <script.py> [args...]", file=sys.stderr)
-        sys.exit(64)
-    sys.exit(_run_traced(sys.argv[1], sys.argv[2], sys.argv[3:]))
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return store
+    for number, line in enumerate(text.split("\n")[:-1], 1):
+        try:
+            record = json.loads(line)
+            store["lines"].update(record["lines"])
+            store["arcs"].update(map(tuple, record["arcs"]))
+            store["exits"].update(record["exits"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(
+                f"trace store {path}, line {number}, is not a trace record: {exc}"
+            ) from exc
+    return store

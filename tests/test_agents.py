@@ -236,6 +236,7 @@ def endpoint(monkeypatch):
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/complete"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:

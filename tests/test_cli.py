@@ -45,6 +45,34 @@ class TestRunCommand:
         assert code == 1
         assert "error: target does not parse:" in capsys.readouterr().err
 
+    def test_rerun_into_same_out_starts_fresh(self, tmp_path):
+        target = tmp_path / "dead.c"
+        target.write_text(
+            "#include <stdio.h>\n"
+            "int main(void) {\n"
+            "    volatile int never = 0;\n"
+            "    int x = 0;\n"
+            "    scanf(\"%d\", &x);\n"
+            "    if (never && x == 42)\n"
+            "        printf(\"never\\n\");\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        out = tmp_path / "out"
+        args = ["run", str(target), "--out", str(out)]
+        assert main([*args, "--max-iters", "3"]) == 2
+        first = json.loads((out / "result.json").read_text())["test_cases"]
+        assert main([*args, "--max-iters", "1"]) == 2
+        second = json.loads((out / "result.json").read_text())["test_cases"]
+        assert second < first
+        assert len(list((out / "TestCases").iterdir())) == second
+        assert [p.name for p in (out / "prompts").iterdir()] == ["iter_0.txt"]
+
+    def test_bound_is_a_bench_only_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "x.c"), "--bound", "b"])
+        assert exc.value.code == 64
+
     def test_usage_error_exits_64(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing source argument

@@ -105,7 +105,6 @@ class TestParseGcov:
 class TestParseDynamicCoverage:
     def export(self, executed, missing, total, covered, gaps):
         return {
-            "format": "covloop-pytrace-v1",
             "executed_lines": executed,
             "missing_lines": missing,
             "branches": {"total": total, "covered": covered, "missing": gaps},

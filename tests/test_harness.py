@@ -5,8 +5,8 @@ import json
 import pytest
 
 from conftest import CRASH_ON_NEGATIVE_C, ECHO_C, SPIN_FOREVER_C
-from covloop import harness
-from covloop.errors import CompileError, ToolInvocationError
+from covloop import harness, pytrace
+from covloop.errors import CompileError, ContractViolation, ToolInvocationError
 from covloop.evaluator import parse_dynamic_coverage, parse_gcov
 from covloop.model import BranchGap, Language, TestCase
 
@@ -43,6 +43,59 @@ class TestPrepareTarget:
         assert target.executable_or_script.read_text() == "print(input())\n"
         assert (target.build_dir / "_covtrace.py").exists()
         assert not target.data_store.exists()  # fresh store, created on first run
+
+    def test_source_inside_a_reset_entry_is_refused(self, tmp_path):
+        target = prepare_c(tmp_path)
+        built_source = target.build_dir / "prog.c"
+        with pytest.raises(ContractViolation):
+            harness.prepare_target(built_source, Language.C, target.workdir)
+        assert built_source.read_text() == ECHO_C
+
+    def test_refused_source_resets_nothing(self, tmp_path):
+        target = prepare_c(tmp_path)
+        source = target.prompts_dir / "prog.c"
+        source.write_text(ECHO_C)
+        with pytest.raises(ContractViolation):
+            harness.prepare_target(source, Language.C, target.workdir)
+        assert (target.build_dir / "prog.gcno").exists()
+        assert source.read_text() == ECHO_C
+
+    def test_project_build_dir_without_manifest_is_kept(self, tmp_path):
+        project = tmp_path / "proj"
+        keep = project / "build" / "keep.txt"
+        keep.parent.mkdir(parents=True)
+        keep.write_text("mine")
+        source = tmp_path / "prog.c"
+        source.write_text(ECHO_C)
+        with pytest.raises(ContractViolation):
+            harness.prepare_target(source, Language.C, project)
+        assert keep.read_text() == "mine"
+        assert not (project / "manifest.json").exists()
+
+    def test_foreign_manifest_is_kept(self, tmp_path):
+        project = tmp_path / "proj"
+        project.mkdir()
+        (project / "manifest.json").write_text('{"name": "app"}\n')
+        source = tmp_path / "prog.c"
+        source.write_text(ECHO_C)
+        with pytest.raises(ContractViolation):
+            harness.prepare_target(source, Language.C, project)
+        assert (project / "manifest.json").read_text() == '{"name": "app"}\n'
+
+    def test_other_files_in_workdir_survive_reruns(self, tmp_path):
+        notes = tmp_path / "work" / "notes.txt"
+        notes.parent.mkdir()
+        notes.write_text("mine")
+        prepare_c(tmp_path)
+        prepare_c(tmp_path)
+        assert notes.read_text() == "mine"
+
+    def test_workdir_of_a_failed_build_is_reused(self, tmp_path):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int main(void { return 0; }\n")
+        with pytest.raises(CompileError):
+            harness.prepare_target(bad, Language.C, tmp_path / "work")
+        assert prepare_c(tmp_path).executable_or_script.exists()
 
     def test_manifest_records_tools_and_flags(self, tmp_path):
         target = prepare_c(tmp_path)
@@ -86,6 +139,16 @@ class TestRunTest:
         assert outcome.exit_status == 0
         assert outcome.stdout_bytes.strip() == b"42"
         assert target.data_store.exists()
+
+    def test_python_timeout_drops_a_cut_off_record(self, tmp_path):
+        source = "if input() == 'spin':\n    while True:\n        pass\nprint('done')\n"
+        target = prepare_py(tmp_path, source)
+        target.data_store.write_text(
+            '{"lines": [1], "arcs": [], "exits": []}\n{"lines": [1, 2], "ar')
+        assert harness.run_test(target, TestCase(("spin",)), timeout=1.0).timed_out
+        harness.run_test(target, TestCase(("go",)), timeout=10.0)
+        assert 4 in pytrace.load_store(target.data_store)["lines"]
+        assert len(target.data_store.read_text().splitlines()) == 2
 
 
 class TestCollectRawCoverage:
@@ -180,7 +243,8 @@ class TestCollectRawCoverage:
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
-        for target in (prepare_c(tmp_path), prepare_py(tmp_path, "print(input())\n")):
+        for prepare in (prepare_c, lambda p: prepare_py(p, "print(input())\n")):
+            target = prepare(tmp_path)
             harness.run_test(target, TestCase(("1",)), timeout=10.0)
             harness.collect_raw_coverage(target)
         assert list(elsewhere.iterdir()) == []

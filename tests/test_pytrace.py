@@ -1,10 +1,14 @@
-"""Tests for the Python tracer module: static analysis, export, shim."""
+"""Tests for the Python lane: static analysis, export, trace store, tracer."""
 
-import json
+import glob
+import os
 import subprocess
 import sys
 
-from covloop import pytrace
+import pytest
+
+from covloop import _covtrace, pytrace
+from covloop.errors import ParseError
 
 BRANCHY = """\
 def classify(n):
@@ -51,8 +55,8 @@ class TestStaticAnalysis:
 
 
 class TestBuildExport:
-    def test_empty_store_reports_everything_missing(self):
-        export = pytrace.build_export(BRANCHY, pytrace.empty_store())
+    def test_empty_store_reports_everything_missing(self, tmp_path):
+        export = pytrace.build_export(BRANCHY, pytrace.load_store(tmp_path / "none.jsonl"))
         assert export["executed_lines"] == []
         assert export["missing_lines"] == [1, 2, 3, 4, 6, 7, 8, 9]
         assert export["branches"]["total"] == 4
@@ -62,9 +66,9 @@ class TestBuildExport:
     def test_arcs_decide_branch_arms(self):
         # Trace shape for input 2: loop entered and exited, if-false only.
         store = {
-            "lines": [1, 2, 4, 6, 7, 8, 9],
-            "arcs": [[1, 6], [2, 4], [6, 7], [7, 8], [7, 9], [8, 7]],
-            "exits": [4, 9],
+            "lines": {1, 2, 4, 6, 7, 8, 9},
+            "arcs": {(1, 6), (2, 4), (6, 7), (7, 8), (7, 9), (8, 7)},
+            "exits": {4, 9},
         }
         export = pytrace.build_export(BRANCHY, store)
         assert export["missing_lines"] == [3]
@@ -74,56 +78,146 @@ class TestBuildExport:
 
     def test_exit_detects_loop_falloff(self):
         source = "for i in range(2):\n    print(i)\n"
-        store = {"lines": [1, 2], "arcs": [[1, 2], [2, 1]], "exits": [1]}
+        store = {"lines": {1, 2}, "arcs": {(1, 2), (2, 1)}, "exits": {1}}
         export = pytrace.build_export(source, store)
         assert export["branches"]["covered"] == 2
 
     def test_foreign_lines_ignored(self):
-        store = {"lines": [1, 999], "arcs": [], "exits": []}
+        store = {"lines": {1, 999}, "arcs": set(), "exits": set()}
         export = pytrace.build_export("x = 1\n", store)
         assert export["executed_lines"] == [1]
         assert export["missing_lines"] == []
 
 
-class TestTracerShim:
-    def run_shim(self, tmp_path, source, stdin="", args=()):
-        script = tmp_path / "t.py"
-        script.write_text(source)
-        store = tmp_path / "store.json"
-        proc = subprocess.run(
-            [sys.executable, pytrace.__file__, str(store), str(script), *args],
-            input=stdin.encode(),
-            capture_output=True,
-            timeout=30,
+class TestLoadStore:
+    def test_records_are_unioned(self, tmp_path):
+        store = tmp_path / "trace.jsonl"
+        store.write_text(
+            '{"lines": [1, 2], "arcs": [[1, 2]], "exits": [2]}\n'
+            '{"lines": [1, 3], "arcs": [[1, 3]], "exits": [3]}\n'
         )
-        return proc, store
+        assert pytrace.load_store(store) == {
+            "lines": {1, 2, 3}, "arcs": {(1, 2), (1, 3)}, "exits": {2, 3},
+        }
 
+    def test_cut_off_last_record_skipped(self, tmp_path):
+        store = tmp_path / "trace.jsonl"
+        store.write_text('{"lines": [1], "arcs": [], "exits": [1]}\n{"lines": [1, 2')
+        assert pytrace.load_store(store)["lines"] == {1}
+
+    def test_corrupt_record_raises_and_names_store(self, tmp_path):
+        store = tmp_path / "trace.jsonl"
+        for bad in ("{}\n", "not json\n", '{"lines": [[1]], "arcs": [], "exits": []}\n',
+                    '\n{"lines": [1], "arcs": [], "exits": []}\n'):
+            store.write_text(bad)
+            with pytest.raises(ParseError, match="trace.jsonl"):
+                pytrace.load_store(store)
+
+
+def run_tracer(tmp_path, source, stdin="", args=(), python=sys.executable):
+    script = tmp_path / "t.py"
+    script.write_text(source)
+    store = tmp_path / "trace.jsonl"
+    proc = subprocess.run(
+        [python, _covtrace.__file__, str(store), str(script), *args],
+        input=stdin.encode(),
+        capture_output=True,
+        timeout=30,
+    )
+    return proc, store
+
+
+class TestTracerShim:
     def test_records_lines_and_arcs(self, tmp_path):
-        proc, store = self.run_shim(tmp_path, BRANCHY, stdin="2\n")
+        proc, store = run_tracer(tmp_path, BRANCHY, stdin="2\n")
         assert proc.returncode == 0
-        data = json.loads(store.read_text())
+        data = pytrace.load_store(store)
         assert 6 in data["lines"]
-        assert [7, 8] in data["arcs"]
+        assert (7, 8) in data["arcs"]
 
     def test_append_merges_across_runs(self, tmp_path):
         source = "x = int(input())\nif x > 0:\n    print('pos')\nelse:\n    print('neg')\n"
-        _, store = self.run_shim(tmp_path, source, stdin="1\n")
-        first = set(json.loads(store.read_text())["lines"])
-        self.run_shim(tmp_path, source, stdin="-1\n")
-        second = set(json.loads(store.read_text())["lines"])
+        _, store = run_tracer(tmp_path, source, stdin="1\n")
+        first = pytrace.load_store(store)["lines"]
+        run_tracer(tmp_path, source, stdin="-1\n")
+        second = pytrace.load_store(store)["lines"]
         assert first < second  # strictly grew: the else arm appeared
         assert second == {1, 2, 3, 5}
+        assert len(store.read_text().splitlines()) == 2  # one record per run
+        assert sorted(os.listdir(tmp_path)) == ["t.py", "trace.jsonl"]
 
     def test_exit_code_passthrough(self, tmp_path):
-        proc, _ = self.run_shim(tmp_path, "import sys\nsys.exit(3)\n")
+        proc, _ = run_tracer(tmp_path, "import sys\nsys.exit(3)\n")
         assert proc.returncode == 3
 
     def test_crash_reports_failure_but_keeps_trace(self, tmp_path):
-        proc, store = self.run_shim(tmp_path, "x = 1\nraise RuntimeError('boom')\n")
+        proc, store = run_tracer(tmp_path, "x = 1\nraise RuntimeError('boom')\n")
         assert proc.returncode == 1
         assert b"boom" in proc.stderr
-        assert 1 in json.loads(store.read_text())["lines"]
+        assert 1 in pytrace.load_store(store)["lines"]
 
     def test_stdin_reaches_target(self, tmp_path):
-        proc, _ = self.run_shim(tmp_path, "print(input())\n", stdin="marker\n")
+        proc, _ = run_tracer(tmp_path, "print(input())\n", stdin="marker\n")
         assert proc.stdout.strip() == b"marker"
+
+    def test_imports_only_what_tracing_needs(self, tmp_path):
+        source = (
+            "import sys\n"
+            "heavy = {'ast', 'dataclasses', 'traceback', 'covloop'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+        )
+        proc, _ = run_tracer(tmp_path, source)
+        assert proc.stdout.strip() == b"[]"
+
+
+LOOPS = """\
+def scale(v):
+    return v * 2
+
+n = int(input())
+total = 0
+while n > 0:
+    n -= 1
+    total += scale(n)
+for i in range(total):
+    if i % 2:
+        total -= 1
+print(total)
+"""
+
+
+def _interpreter(minor):
+    """A CPython 3.<minor> that starts here, or None.
+
+    pyenv's shims come first on PATH but may refuse to run a version that is
+    not selected, so every candidate is started once to check it.
+    """
+    pyenv = os.environ.get("PYENV_ROOT")
+    candidates = sorted(glob.glob(f"{pyenv}/versions/3.{minor}.*/bin/python3")) if pyenv else []
+    candidates += [os.path.join(d, f"python3.{minor}") for d in os.get_exec_path()]
+    for python in candidates:
+        if not os.access(python, os.X_OK):
+            continue
+        probe = subprocess.run(
+            [python, "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True, timeout=30,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})".encode():
+            return python
+    return None
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_same_store_on_every_interpreter(tmp_path, minor):
+    python = _interpreter(minor)
+    if python is None:
+        pytest.skip(f"no CPython 3.{minor} found under $PYENV_ROOT/versions or on PATH")
+    stores = []
+    for name, interpreter in (("here", sys.executable), ("there", python)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for stdin in ("0\n", "3\n"):
+            proc, store = run_tracer(workdir, LOOPS, stdin, python=interpreter)
+            assert proc.returncode == 0, proc.stderr
+        stores.append(pytrace.load_store(store))
+    assert stores[1] == stores[0]
