@@ -13,8 +13,6 @@ import logging
 import time
 from dataclasses import dataclass
 
-import jsonschema
-
 from .backends import CompletionBackend, SchemaId
 from .cache import TestSuiteCache, canonical_key
 from .errors import ContractViolation, MalformedResponse, RateLimited
@@ -25,46 +23,13 @@ log = logging.getLogger(__name__)
 
 _RATE_LIMIT_SLEEP_CAP = 30.0
 
-_SCHEMAS = {
-    SchemaId.TEST_CASES: {
-        "type": "object",
-        "required": ["test_cases"],
-        "properties": {
-            "test_cases": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": ["string", "number"]},
-                },
-            }
-        },
-    },
-    SchemaId.REFINEMENT: {
-        "type": "object",
-        "required": ["gap_explanation", "input_patterns", "prompt_refinements"],
-        "properties": {
-            "gap_explanation": {"type": "string"},
-            "input_patterns": {"type": "array", "items": {"type": "string"}},
-            "prompt_refinements": {
-                "type": "array",
-                "items": {"type": "string"},
-                "minItems": 1,
-            },
-        },
-    },
-}
 _DECODER = json.JSONDecoder()
-_VALIDATORS = {
-    schema_id: jsonschema.Draft202012Validator(schema)
-    for schema_id, schema in _SCHEMAS.items()
-}
 
 
 @dataclass(frozen=True)
 class AgentResponse:
-    """Raw completion text plus its schema-validated payload."""
+    """A schema-validated reply payload and the attempts it took."""
 
-    raw_text: str
     parsed: dict | None
     attempts: int
 
@@ -85,21 +50,37 @@ def extract_json_object(text: str) -> dict:
 
 
 def _validate(schema_id: SchemaId, payload: dict) -> dict:
-    errors = sorted(
-        _VALIDATORS[schema_id].iter_errors(payload), key=lambda e: list(e.path)
-    )
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.path) or "<root>"
-        raise ValueError(f"schema {schema_id.value} violated at {where}: {first.message}")
+    """Type-check a reply payload; keys outside the schema are ignored.
+
+    Raises ValueError naming the first field that is missing or ill-typed.
+    """
+    def require(ok: bool, where: str, expected: str) -> None:
+        if not ok:
+            raise ValueError(
+                f"schema {schema_id.value} violated at {where}: expected {expected}"
+            )
+
     if schema_id is SchemaId.TEST_CASES:
+        cases = payload.get("test_cases")
+        require(isinstance(cases, list), "test_cases", "a list of lists")
+        for i, case in enumerate(cases):
+            require(isinstance(case, list), f"test_cases/{i}", "a list")
+            for j, v in enumerate(case):
+                require(isinstance(v, (str, int, float)) and not isinstance(v, bool),
+                        f"test_cases/{i}/{j}", "a string or a number")
         # stdin is text: numbers are coerced to strings at this boundary.
-        payload = {
+        return {
             "test_cases": [
                 [v if isinstance(v, str) else _render_number(v) for v in case]
-                for case in payload["test_cases"]
+                for case in cases
             ]
         }
+    require(isinstance(payload.get("gap_explanation"), str), "gap_explanation", "a string")
+    for key in ("input_patterns", "prompt_refinements"):
+        items = payload.get(key)
+        require(isinstance(items, list) and all(isinstance(s, str) for s in items),
+                key, "a list of strings")
+    require(bool(payload["prompt_refinements"]), "prompt_refinements", "at least one item")
     return payload
 
 
@@ -132,7 +113,7 @@ def complete(
             continue
         try:
             payload = _validate(schema_id, extract_json_object(raw))
-            return AgentResponse(raw_text=raw, parsed=payload, attempts=attempts)
+            return AgentResponse(parsed=payload, attempts=attempts)
         except ValueError as exc:
             last_error = str(exc)
             log.debug("attempt %d returned malformed payload: %s", attempts, last_error)

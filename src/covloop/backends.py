@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import abc
 import enum
+import http.client
 import itertools
 import json
 import os
 import re
 import threading
-
-import requests
+import urllib.error
+import urllib.parse
+import urllib.request
 
 from .errors import ContractViolation, RateLimited, TransportError
 from .model import BackendKind, InputKind, RunConfig
@@ -44,7 +46,6 @@ class SchemaId(enum.Enum):
 class CompletionBackend(abc.ABC):
     """One completion call per request; implementations must be thread-safe."""
 
-    kind: BackendKind
     model_id: str
     max_retries: int
 
@@ -81,8 +82,6 @@ _CHAR_COMPARISON_RE = re.compile(r"(?:==|!=)\s*'(.)'|'(.)'\s*(?:==|!=)")
 
 class StubBackend(CompletionBackend):
     """Deterministic offline backend used by the test suite and `--backend stub`."""
-
-    kind = BackendKind.STUB
 
     def __init__(self, model_id: str = "stub", max_retries: int = 3):
         self.model_id = model_id
@@ -257,22 +256,21 @@ class HttpBackend(CompletionBackend):
     is read from the COVLOOP_API_KEY environment variable.
     """
 
-    kind = BackendKind.HTTP
-
     def __init__(
         self,
         endpoint: str,
         model_id: str,
         max_retries: int = 3,
         timeout: float = 60.0,
-        api_key_env: str = API_KEY_ENV,
     ):
-        if not endpoint:
-            raise ContractViolation("http backend requires an endpoint URL")
-        key = os.environ.get(api_key_env, "")
+        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ContractViolation(
+                f"http backend requires an http(s) endpoint URL, got {endpoint!r}"
+            )
+        key = os.environ.get(API_KEY_ENV, "")
         if not key:
             raise ContractViolation(
-                f"http backend requires a credential in ${api_key_env}"
+                f"http backend requires a credential in ${API_KEY_ENV}"
             )
         self.endpoint = endpoint
         self.model_id = model_id
@@ -281,26 +279,43 @@ class HttpBackend(CompletionBackend):
         self._key = key
 
     def raw_complete(self, prompt: str, schema_id: SchemaId) -> str:
+        request = urllib.request.Request(
+            self.endpoint,
+            data=json.dumps({"model": self.model_id, "prompt": prompt}).encode(),
+            headers={"Authorization": f"Bearer {self._key}",
+                     "Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                self.endpoint,
-                json={"model": self.model_id, "prompt": prompt},
-                headers={"Authorization": f"Bearer {self._key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            try:
+                response = _OPENER.open(request, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # error and redirect statuses, body included
+            with response:
+                status, headers = response.status, response.headers
+                body = response.read().decode("utf-8", "replace")
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"POST {self.endpoint} failed: {exc}") from exc
-        if resp.status_code == 429:
-            retry_after = _parse_retry_after(resp.headers.get("Retry-After"))
+        if status == 429:
+            retry_after = _parse_retry_after(headers.get("Retry-After"))
             raise RateLimited(
                 f"endpoint rate limited (429), retry after {retry_after}s",
                 retry_after=retry_after,
             )
-        if resp.status_code >= 400:
-            raise TransportError(
-                f"endpoint returned HTTP {resp.status_code}: {resp.text[:200]}"
-            )
-        return _extract_completion_text(resp)
+        if status >= 300:
+            location = headers.get("Location")
+            to = f" (redirect to {location} not followed)" if location else ""
+            raise TransportError(f"endpoint returned HTTP {status}{to}: {body[:200]}")
+        return _extract_completion_text(body)
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    # A followed redirect would resend the bearer token to the Location's host.
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
 
 
 def _parse_retry_after(header: str | None) -> float:
@@ -310,11 +325,11 @@ def _parse_retry_after(header: str | None) -> float:
         return 1.0
 
 
-def _extract_completion_text(resp) -> str:
+def _extract_completion_text(body: str) -> str:
     try:
-        data = resp.json()
+        data = json.loads(body)
     except ValueError:
-        return resp.text
+        return body
     if isinstance(data, str):
         return data
     if isinstance(data, dict):
@@ -335,7 +350,7 @@ def _extract_completion_text(resp) -> str:
                 return candidates[0]["content"]["parts"][0]["text"]
             except (KeyError, IndexError, TypeError):
                 pass
-    return resp.text
+    return body
 
 
 def make_backend(config: RunConfig) -> CompletionBackend:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import glob
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -143,6 +146,27 @@ def echo_c(tmp_path):
     return path
 
 
+def require_interpreter(minor):
+    """A CPython 3.<minor> that starts here; the test is skipped if none does.
+
+    pyenv's shims come first on PATH but may refuse to run a version that is
+    not selected, so every candidate is started once to check it.
+    """
+    pyenv = os.environ.get("PYENV_ROOT")
+    candidates = sorted(glob.glob(f"{pyenv}/versions/3.{minor}.*/bin/python3")) if pyenv else []
+    candidates += [os.path.join(d, f"python3.{minor}") for d in os.get_exec_path()]
+    for python in candidates:
+        if not os.access(python, os.X_OK):
+            continue
+        probe = subprocess.run(
+            [python, "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True, timeout=30,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})".encode():
+            return python
+    pytest.skip(f"no CPython 3.{minor} found under $PYENV_ROOT/versions or on PATH")
+
+
 def make_config(tmp_path, **overrides) -> RunConfig:
     defaults = dict(workdir=tmp_path / "out", backend=BackendKind.STUB)
     defaults.update(overrides)
@@ -151,8 +175,6 @@ def make_config(tmp_path, **overrides) -> RunConfig:
 
 class ScriptedBackend(CompletionBackend):
     """Replays a fixed list of raw completions, then repeats the last one."""
-
-    kind = BackendKind.STUB
 
     def __init__(self, replies: list[str], max_retries: int = 3):
         self.model_id = "scripted"
@@ -169,8 +191,6 @@ class ScriptedBackend(CompletionBackend):
 class ConstantPayloadBackend(CompletionBackend):
     """Adversarial generator: the same test_cases payload forever."""
 
-    kind = BackendKind.STUB
-
     def __init__(self, cases: list[list[str]], max_retries: int = 3):
         self.model_id = "constant"
         self.max_retries = max_retries
@@ -185,8 +205,6 @@ class ConstantPayloadBackend(CompletionBackend):
 
 class SequentialCasesBackend(CompletionBackend):
     """Emits `fresh` brand-new single-int cases per call, plus optional repeats."""
-
-    kind = BackendKind.STUB
 
     def __init__(self, fresh: int, duplicate_fraction: float = 0.0,
                  max_retries: int = 3):

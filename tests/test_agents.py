@@ -5,10 +5,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedBackend
 from covloop.agents import (
     AgentResponse,
+    _validate,
     branch_feedback,
     complete,
     extract_json_object,
@@ -95,6 +98,130 @@ class TestComplete:
             complete(ScriptedBackend([payload]), "p", SchemaId.REFINEMENT)
 
 
+REFINEMENT_OK = {
+    "gap_explanation": "g",
+    "input_patterns": ["p"],
+    "prompt_refinements": ["r"],
+}
+
+
+def _without(key):
+    return {k: v for k, v in REFINEMENT_OK.items() if k != key}
+
+
+class TestReplyContract:
+    """Which replies `complete` accepts: every rejection ends in MalformedResponse."""
+
+    @pytest.mark.parametrize("cases", [
+        [[True]], [[None]], [[["1"]]], [[{"a": 1}]], ["1"], "x",
+    ])
+    def test_bad_test_cases_rejected(self, cases):
+        backend = ScriptedBackend([json.dumps({"test_cases": cases})])
+        with pytest.raises(MalformedResponse):
+            complete(backend, "p", SchemaId.TEST_CASES)
+
+    @pytest.mark.parametrize("payload", [
+        _without("gap_explanation"),
+        _without("input_patterns"),
+        _without("prompt_refinements"),
+        {**REFINEMENT_OK, "gap_explanation": 1},
+        {**REFINEMENT_OK, "input_patterns": ["p", 2]},
+        {**REFINEMENT_OK, "prompt_refinements": ["r", None]},
+    ])
+    def test_bad_refinement_rejected(self, payload):
+        backend = ScriptedBackend([json.dumps(payload)])
+        with pytest.raises(MalformedResponse):
+            complete(backend, "p", SchemaId.REFINEMENT)
+
+    def test_extra_top_level_keys_ignored(self):
+        cases = ScriptedBackend(['{"test_cases": [["1"]], "note": "hi"}'])
+        assert complete(cases, "p", SchemaId.TEST_CASES).parsed == {
+            "test_cases": [["1"]]
+        }
+        refinement = ScriptedBackend([json.dumps({**REFINEMENT_OK, "note": 1})])
+        parsed = complete(refinement, "p", SchemaId.REFINEMENT).parsed
+        assert {k: parsed[k] for k in REFINEMENT_OK} == REFINEMENT_OK
+
+
+# Reference for the differential test: `_validate` must accept exactly the
+# replies these Draft 2020-12 schemas accept.
+REFERENCE_SCHEMAS = {
+    SchemaId.TEST_CASES: {
+        "type": "object",
+        "required": ["test_cases"],
+        "properties": {
+            "test_cases": {
+                "type": "array",
+                "items": {"type": "array", "items": {"type": ["string", "number"]}},
+            }
+        },
+    },
+    SchemaId.REFINEMENT: {
+        "type": "object",
+        "required": ["gap_explanation", "input_patterns", "prompt_refinements"],
+        "properties": {
+            "gap_explanation": {"type": "string"},
+            "input_patterns": {"type": "array", "items": {"type": "string"}},
+            "prompt_refinements": {
+                "type": "array", "items": {"type": "string"}, "minItems": 1,
+            },
+        },
+    },
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_field_values = st.one_of(
+    _json_values,
+    st.lists(st.lists(_json_values, max_size=3), max_size=3),
+    st.lists(st.text(max_size=3), max_size=3),
+)
+_payloads = st.dictionaries(
+    st.sampled_from([
+        "test_cases", "gap_explanation", "input_patterns", "prompt_refinements", "x",
+    ]),
+    _field_values,
+)
+
+
+def _reference_render(v):
+    if isinstance(v, float) and v.is_integer():
+        return str(int(v))
+    return str(v)
+
+
+def test_validate_matches_reference_schemas():
+    jsonschema = pytest.importorskip("jsonschema")
+    validators = {
+        schema_id: jsonschema.Draft202012Validator(schema)
+        for schema_id, schema in REFERENCE_SCHEMAS.items()
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(list(SchemaId)), _payloads)
+    def check(schema_id, payload):
+        accepted = validators[schema_id].is_valid(payload)
+        try:
+            checked = _validate(schema_id, payload)
+        except ValueError:
+            assert not accepted
+            return
+        assert accepted
+        if schema_id is SchemaId.TEST_CASES:
+            assert checked == {"test_cases": [
+                [v if isinstance(v, str) else _reference_render(v) for v in case]
+                for case in payload["test_cases"]
+            ]}
+        else:
+            assert checked == payload
+
+    check()
+
+
 class TestGenerateTests:
     """The driver's generation path: complete, then parse_and_filter."""
 
@@ -125,7 +252,7 @@ class TestGenerateTests:
 
 class TestParseAndFilter:
     def response(self, cases):
-        return AgentResponse("", {"test_cases": cases}, attempts=1)
+        return AgentResponse({"test_cases": cases}, attempts=1)
 
     def test_filters_cached(self):
         cache = TestSuiteCache()
@@ -155,7 +282,7 @@ class TestParseAndFilter:
 
     def test_unvalidated_response_rejected(self):
         with pytest.raises(ContractViolation):
-            parse_and_filter(AgentResponse("", None, 1), TestSuiteCache())
+            parse_and_filter(AgentResponse(None, 1), TestSuiteCache())
 
 
 NEGATIVE_GUARD_PY = """\
@@ -205,17 +332,26 @@ class TestFeedbackAgents:
 
 
 class _Endpoint(BaseHTTPRequestHandler):
-    script = []  # list of (status, headers, body) tuples consumed in order
+    # (status, headers, body) tuples consumed in order; a None status sends
+    # the body as the whole raw reply.
+    script = []
     seen = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).seen.append(
-            {"auth": self.headers.get("Authorization"), "body": body}
+            {
+                "auth": self.headers.get("Authorization"),
+                "content_type": self.headers.get("Content-Type"),
+                "body": body,
+            }
         )
         status, headers, payload = self.script[min(len(self.seen) - 1,
                                                    len(self.script) - 1)]
+        if status is None:
+            self.wfile.write(payload.encode())
+            return
         self.send_response(status)
         for key, value in headers.items():
             self.send_header(key, value)
@@ -226,17 +362,39 @@ class _Endpoint(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def endpoint(monkeypatch):
-    monkeypatch.setenv("COVLOOP_API_KEY", "sekrit")
-    _Endpoint.script = []
-    _Endpoint.seen = []
-    server = HTTPServer(("127.0.0.1", 0), _Endpoint)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+class _Elsewhere(_Endpoint):
+    """A second host, the target of redirects; keeps its own script and log."""
+
+    script = [(200, {}, json.dumps({"text": '{"test_cases": []}'}))]
+    seen = []
+
+    def do_GET(self):
+        self.do_POST()
+
+
+def _serve(handler):
+    handler.seen = []
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/complete"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    monkeypatch.setenv("COVLOOP_API_KEY", "sekrit")
+    _Endpoint.script = []
+    yield from _serve(_Endpoint)
+
+
+@pytest.fixture
+def elsewhere():
+    yield from _serve(_Elsewhere)
+
+
+REPLY = '{"test_cases": [["7"]]}'
 
 
 class TestHttpBackend:
@@ -245,18 +403,32 @@ class TestHttpBackend:
         with pytest.raises(ContractViolation):
             HttpBackend("http://example.invalid", "m")
 
+    @pytest.mark.parametrize("url", ["file:///etc/hostname", "ftp://h/x", "127.0.0.1:9/x"])
+    def test_only_http_endpoints(self, monkeypatch, url):
+        monkeypatch.setenv("COVLOOP_API_KEY", "k")
+        with pytest.raises(ContractViolation):
+            HttpBackend(url, "m")
+
     def test_posts_model_and_prompt(self, endpoint):
         _Endpoint.script = [(200, {}, json.dumps({"text": '{"test_cases": []}'}))]
         backend = HttpBackend(endpoint, "my-model")
         response = complete(backend, "the prompt", SchemaId.TEST_CASES)
         assert response.parsed == {"test_cases": []}
         assert _Endpoint.seen[0]["auth"] == "Bearer sekrit"
+        assert _Endpoint.seen[0]["content_type"] == "application/json"
         assert _Endpoint.seen[0]["body"] == {"model": "my-model",
                                              "prompt": "the prompt"}
 
-    def test_chat_shape_extracted(self, endpoint):
-        reply = {"choices": [{"message": {"content": '{"test_cases": [["7"]]}'}}]}
-        _Endpoint.script = [(200, {}, json.dumps(reply))]
+    @pytest.mark.parametrize("body", [
+        json.dumps(REPLY),
+        json.dumps({"text": REPLY}),
+        json.dumps({"choices": [{"message": {"content": REPLY}}]}),
+        json.dumps({"choices": [{"text": REPLY}]}),
+        json.dumps({"candidates": [{"content": {"parts": [{"text": REPLY}]}}]}),
+        "Here you go: " + REPLY,
+    ], ids=["string", "text", "chat", "completion", "candidates", "not-json"])
+    def test_reply_shapes_extracted(self, endpoint, body):
+        _Endpoint.script = [(200, {}, body)]
         response = complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
         assert response.parsed == {"test_cases": [["7"]]}
 
@@ -271,6 +443,23 @@ class TestHttpBackend:
 
     def test_server_error_is_transport_error(self, endpoint):
         _Endpoint.script = [(500, {}, "boom")]
+        with pytest.raises(TransportError, match="HTTP 500: boom"):
+            complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, endpoint, elsewhere, status):
+        _Endpoint.script = [(status, {"Location": elsewhere}, "moved")]
+        with pytest.raises(TransportError, match=f"HTTP {status} .*{elsewhere}"):
+            complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+        assert len(_Endpoint.seen) == 1
+        assert _Elsewhere.seen == []
+
+    @pytest.mark.parametrize("script", [
+        (None, {}, "garbage\r\n\r\n"),
+        (200, {"Content-Length": "100"}, "short"),
+    ], ids=["bad-status-line", "truncated-body"])
+    def test_broken_reply_is_transport_error(self, endpoint, script):
+        _Endpoint.script = [script]
         with pytest.raises(TransportError):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
 

@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, summaries, benchmark reports."""
 
 import json
+import os
+import subprocess
+from pathlib import Path
 
 import pytest
 
-from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C
+import covloop
+from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_interpreter
 from covloop.cli import main
 
 
@@ -82,6 +86,20 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["run", str(guard_c), "--backend", "carrier-pigeon"])
         assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_runs_without_site_packages(tmp_path, guard_py, minor):
+    """covloop needs only the standard library: `-S` leaves site-packages out."""
+    python = require_interpreter(minor)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(covloop.__file__).parents[1])}
+    proc = subprocess.run(
+        [python, "-S", "-m", "covloop.cli", "run", str(guard_py), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "result.json").read_text())["termination"] == "threshold_met"
 
 
 @pytest.fixture

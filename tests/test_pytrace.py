@@ -1,12 +1,12 @@
 """Tests for the Python lane: static analysis, export, trace store, tracer."""
 
-import glob
 import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import require_interpreter
 from covloop import _covtrace, pytrace
 from covloop.errors import ParseError
 
@@ -186,32 +186,9 @@ print(total)
 """
 
 
-def _interpreter(minor):
-    """A CPython 3.<minor> that starts here, or None.
-
-    pyenv's shims come first on PATH but may refuse to run a version that is
-    not selected, so every candidate is started once to check it.
-    """
-    pyenv = os.environ.get("PYENV_ROOT")
-    candidates = sorted(glob.glob(f"{pyenv}/versions/3.{minor}.*/bin/python3")) if pyenv else []
-    candidates += [os.path.join(d, f"python3.{minor}") for d in os.get_exec_path()]
-    for python in candidates:
-        if not os.access(python, os.X_OK):
-            continue
-        probe = subprocess.run(
-            [python, "-c", "import sys; print(sys.version_info[:2])"],
-            capture_output=True, timeout=30,
-        )
-        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})".encode():
-            return python
-    return None
-
-
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
 def test_same_store_on_every_interpreter(tmp_path, minor):
-    python = _interpreter(minor)
-    if python is None:
-        pytest.skip(f"no CPython 3.{minor} found under $PYENV_ROOT/versions or on PATH")
+    python = require_interpreter(minor)
     stores = []
     for name, interpreter in (("here", sys.executable), ("there", python)):
         workdir = tmp_path / name
