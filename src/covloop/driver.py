@@ -10,6 +10,10 @@ replace the focus section for the next round.
 
 Only newly added cases are executed each iteration: instrumentation counters
 accumulate, so re-running the whole suite would change nothing except cost.
+An iteration that executes no case reuses the previous coverage report
+instead of collecting coverage again, since only a test can change it. The
+analysts do not run after the last iteration, because no later prompt would
+read their output.
 """
 
 from __future__ import annotations
@@ -118,7 +122,8 @@ def run_loop(
             elif outcome.exit_status:
                 log.info("iteration %d: test exited with %s", k, outcome.exit_status)
 
-        report = _evaluate(target)
+        if novel:
+            report = _evaluate(target)
         evaluator.emit_artifact(report, target.coverage_dir / f"iter_{k}.json")
         records.append(
             IterationRecord(
@@ -144,6 +149,8 @@ def run_loop(
 
         if report.total_coverage >= config.threshold:
             termination = Termination.THRESHOLD_MET
+            break
+        if k == config.k_max - 1:
             break
 
         try:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import ConstantPayloadBackend, make_config
+from covloop import harness
 from covloop.backends import SchemaId, StubBackend
 from covloop.driver import run_loop
 from covloop.errors import MalformedResponse, UnsupportedLanguage
@@ -45,6 +46,34 @@ class TestTermination:
         assert len(result.iterations) == 10
         assert all(r.novel_tests == 0 for r in result.iterations[1:])
         assert result.stagnated
+
+    def test_no_analysts_after_the_last_iteration(self, tmp_path, guard_c):
+        class CountingBackend(ConstantPayloadBackend):
+            def __init__(self, cases):
+                super().__init__(cases)
+                self.schemas = []  # list.append is atomic across the analyst threads
+
+            def raw_complete(self, prompt, schema_id):
+                self.schemas.append(schema_id)
+                return super().raw_complete(prompt, schema_id)
+
+        backend = CountingBackend([["1"], ["2"]])
+        k_max = 4
+        result = run_loop(make_config(tmp_path, k_max=k_max), guard_c, backend=backend)
+        assert result.termination is Termination.K_MAX_REACHED
+        assert backend.schemas.count(SchemaId.REFINEMENT) == 2 * (k_max - 1)
+
+    def test_iteration_without_tests_reuses_its_report(self, tmp_path, guard_c, monkeypatch):
+        collected = []
+        collect = harness.collect_raw_coverage
+        monkeypatch.setattr(harness, "collect_raw_coverage",
+                            lambda target: collected.append(target) or collect(target))
+        backend = ConstantPayloadBackend([["1"], ["2"]])
+        result = run_loop(make_config(tmp_path, k_max=4), guard_c, backend=backend)
+        assert [r.novel_tests for r in result.iterations] == [2, 0, 0, 0]
+        assert len(collected) == 2  # before the loop, and after iteration 0
+        artifacts = [result.workdir / "coverage" / f"iter_{k}.json" for k in range(4)]
+        assert len({a.read_text() for a in artifacts}) == 1
 
     def test_stub_stalls_on_unreachable_value_but_terminates(self, tmp_path):
         source = tmp_path / "unreachable.py"

@@ -1,6 +1,8 @@
 """Tests for target preparation and instrumented execution."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -97,6 +99,21 @@ class TestPrepareTarget:
             harness.prepare_target(bad, Language.C, tmp_path / "work")
         assert prepare_c(tmp_path).executable_or_script.exists()
 
+    def test_tool_versions_are_read_once_per_process(self, tmp_path, monkeypatch):
+        prepare_c(tmp_path)
+        spawned = []
+        real_run = subprocess.run
+
+        def recording_run(cmd, *args, **kwargs):
+            spawned.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(harness.subprocess, "run", recording_run)
+        target = prepare_c(tmp_path)
+        assert [cmd for cmd in spawned if "--version" in cmd] == []
+        manifest = json.loads((target.workdir / "manifest.json").read_text())
+        assert manifest["gcc"] and manifest["gcov"]
+
     def test_manifest_records_tools_and_flags(self, tmp_path):
         target = prepare_c(tmp_path)
         manifest = json.loads((target.workdir / "manifest.json").read_text())
@@ -120,6 +137,24 @@ class TestRunTest:
         assert outcome.timed_out
         assert outcome.exit_status is None
         assert 0.9 <= outcome.duration <= 3.0
+
+    def test_timeout_after_closing_its_output(self, tmp_path):
+        # The pipes reach end of file long before the child exits.
+        source = ("#include <stdio.h>\n"
+                  "int main(void) { fclose(stdout); fclose(stderr); for (;;); }\n")
+        target = prepare_c(tmp_path, source, "quiet_spin.c")
+        outcome = harness.run_test(target, TestCase(("1",)), timeout=1.0)
+        assert outcome.timed_out
+        assert 0.9 <= outcome.duration <= 3.0
+
+    @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="no pidfds here")
+    def test_waiting_for_exit_does_not_poll(self, tmp_path, monkeypatch):
+        target = prepare_c(tmp_path)
+        sleeps = []
+        monkeypatch.setattr(harness.subprocess.time, "sleep", sleeps.append)
+        for value in range(20):
+            assert harness.run_test(target, TestCase((str(value),)), timeout=5.0).exit_status == 0
+        assert sleeps == []
 
     def test_crash_recorded_not_raised(self, tmp_path):
         target = prepare_c(tmp_path, CRASH_ON_NEGATIVE_C, "crash.c")
@@ -248,3 +283,4 @@ class TestCollectRawCoverage:
             harness.run_test(target, TestCase(("1",)), timeout=10.0)
             harness.collect_raw_coverage(target)
         assert list(elsewhere.iterdir()) == []
+
