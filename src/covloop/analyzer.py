@@ -46,10 +46,7 @@ def extract_input_signature(
         kinds, warnings = _scan_python(source)
     else:
         kinds, warnings = _scan_c(source)
-    sig = InputSignature(
-        count=len(kinds), kinds=tuple(kinds), target_language=language
-    )
-    return sig, warnings
+    return InputSignature(count=len(kinds), kinds=tuple(kinds)), warnings
 
 
 # --- Python scanning ---

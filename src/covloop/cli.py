@@ -6,9 +6,11 @@ import argparse
 import csv
 import logging
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from .analyzer import _EXTENSIONS
 from .driver import RunResult, run_loop
 from .errors import CovloopError
 from .model import BackendKind, RunConfig, Termination, format_pct
@@ -104,16 +106,23 @@ def cli_run(args) -> int:
 
 
 def _bench_targets(directory: Path, default_bound: str | None):
-    """Sources directly in the directory, plus one level of bound-label subdirs."""
+    """(program, source, bound label) for the sources directly in the
+    directory, plus one level of bound-label subdirs.
+
+    A program is named by its stem, or by its file name where two sources of
+    one label share a stem, so each gets a workdir and a report row of its own.
+    """
     targets = []
     for path in sorted(directory.iterdir()):
-        if path.is_file() and path.suffix in (".c", ".py"):
-            targets.append((path, default_bound))
+        if path.is_file() and path.suffix in _EXTENSIONS:
+            targets.append((path, default_bound or "-"))
         elif path.is_dir():
             for inner in sorted(path.iterdir()):
-                if inner.is_file() and inner.suffix in (".c", ".py"):
+                if inner.is_file() and inner.suffix in _EXTENSIONS:
                     targets.append((inner, path.name))
-    return targets
+    stems = Counter((path.stem, label) for path, label in targets)
+    return [(path.stem if stems[path.stem, label] == 1 else path.name, path, label)
+            for path, label in targets]
 
 
 def bench_run(args) -> int:
@@ -126,15 +135,13 @@ def bench_run(args) -> int:
     targets = _bench_targets(directory, args.bound)
 
     def one(entry) -> tuple[str, str, RunResult | str]:
-        path, bound = entry
-        label = bound or "-"
-        workdir = out / f"{path.stem}__{label}"
-        config = _config_from_args(args, workdir)
+        program, path, label = entry
+        config = _config_from_args(args, out / f"{program}__{label}")
         try:
-            return path.stem, label, run_loop(config, path)
+            return program, label, run_loop(config, path)
         except (CovloopError, OSError) as exc:
             log.error("target %s failed: %s", path, exc)
-            return path.stem, label, f"ERROR: {exc}"
+            return program, label, f"ERROR: {exc}"
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         rows = list(pool.map(one, targets))

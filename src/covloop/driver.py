@@ -34,7 +34,6 @@ from .model import (
     CoverageReport,
     FeedbackRefinement,
     IterationRecord,
-    Language,
     RunConfig,
     Termination,
     format_pct,
@@ -179,10 +178,8 @@ def run_loop(
 
 
 def _evaluate(target: harness.PreparedTarget) -> CoverageReport:
-    raw = harness.collect_raw_coverage(target)
-    if target.language is Language.C:
-        return evaluator.parse_gcov(raw)
-    return evaluator.parse_dynamic_coverage(raw)
+    """The target's cumulative coverage; both lanes collect a gcov JSON entry."""
+    return evaluator.parse_gcov(harness.collect_raw_coverage(target))
 
 
 def _gather_feedback(

@@ -14,9 +14,12 @@ workdir shows only the last run. A workdir that holds any of them without a
 manifest.json written by covloop is refused, so `.` keeps its own `build/`.
 
 C targets are compiled with gcc profile instrumentation and read back through
-`gcov -b --json-format --stdout`, so gcov must accept those flags (tested
-with GCC 12.2); no `.gcov` file is written. Python targets run under the
-bundled tracer, which appends one record per test to the trace store.
+`gcov -b --json-format --stdout`, so gcov must accept those flags (GCC 9 or
+later, tested with GCC 12.2); no `.gcov` file is written. Python targets run
+under the bundled tracer, which appends one record per test to the trace
+store, and `pytrace` turns the store into the same gcov JSON file entry, so
+both lanes report one raw coverage format. Each prepared target carries the
+argv of its tests, so running a test does not depend on the language.
 Tests of one target run one at a time, so the store has a single writer.
 Coverage accumulates across runs of one prepared target and is never reset
 within a run, so reported coverage is monotone over the loop.
@@ -57,6 +60,7 @@ class PreparedTarget:
     workdir: Path
     executable_or_script: Path
     source_name: str = ""
+    test_argv: tuple[str, ...] = ()  # the command each test runs
 
     @property
     def build_dir(self) -> Path:
@@ -97,6 +101,19 @@ def check_toolchain(language: Language) -> None:
         for tool in ("gcc", "gcov"):
             if shutil.which(tool) is None:
                 raise MissingToolchain(f"required tool not on PATH: {tool}")
+        if not _accepts_gcov_flags(shutil.which("gcov")):
+            raise MissingToolchain(
+                f"gcov does not accept {' '.join(GCOV_FLAGS)}; GCC 9 or later is needed")
+
+
+@functools.cache
+def _accepts_gcov_flags(gcov: str) -> bool:
+    """Whether `gcov` takes GCOV_FLAGS: it exits 1 at the first unknown option."""
+    try:
+        return subprocess.run([gcov, *GCOV_FLAGS, "--version"], capture_output=True,
+                              timeout=10).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
 
 
 def prepare_target(
@@ -137,10 +154,13 @@ def prepare_target(
 
     if language is Language.C:
         _compile_c(target, local_source)
+        target.test_argv = (str(target.executable_or_script),)
     else:
         target.executable_or_script = local_source
-        shutil.copyfile(Path(__file__).with_name(_TRACER_NAME),
-                        target.build_dir / _TRACER_NAME)
+        tracer = target.build_dir / _TRACER_NAME
+        shutil.copyfile(Path(__file__).with_name(_TRACER_NAME), tracer)
+        target.test_argv = (sys.executable, str(tracer), str(target.data_store),
+                            str(local_source))
     return target
 
 
@@ -211,21 +231,12 @@ def run_test(
     time: a Python test's tracer appends to the trace store, which has a
     single writer.
     """
-    if target.language is Language.C:
-        cmd = [str(target.executable_or_script)]
-    else:
-        cmd = [
-            sys.executable,
-            str(target.build_dir / _TRACER_NAME),
-            str(target.data_store),
-            str(target.executable_or_script),
-        ]
     start = time.monotonic()
     try:
-        proc = _Child(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        proc = _Child(target.test_argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                       stderr=subprocess.PIPE, cwd=target.build_dir)
     except OSError as exc:
-        raise SpawnError(f"cannot launch {cmd[0]}: {exc}") from exc
+        raise SpawnError(f"cannot launch {target.test_argv[0]}: {exc}") from exc
     with proc:
         try:
             stdout, stderr = proc.communicate(
@@ -233,7 +244,7 @@ def run_test(
         except subprocess.TimeoutExpired as exc:
             proc.kill()
             proc.wait()
-            if target.language is Language.PYTHON and target.data_store.exists():
+            if target.data_store.exists():  # only Python targets have a store
                 # A tracer killed mid-write leaves a cut-off record; drop it so
                 # the next test's record starts on a line of its own.
                 with open(target.data_store, "rb+") as store:
@@ -285,8 +296,8 @@ class _Child(subprocess.Popen):
 
 
 def collect_raw_coverage(target: PreparedTarget) -> dict:
-    """Cumulative raw coverage: gcov's JSON entry for the source file in C,
-    the tracer export in Python.
+    """Cumulative raw coverage as a gcov JSON file entry for the source: from
+    gcov in C, from the trace store through `pytrace.build_export` in Python.
 
     With no runs recorded yet this still succeeds, reporting all-zero
     counters.

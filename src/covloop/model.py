@@ -59,7 +59,6 @@ class InputSignature:
 
     count: int
     kinds: tuple[InputKind, ...]
-    target_language: Language
 
     def __post_init__(self):
         if self.count < 0:

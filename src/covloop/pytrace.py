@@ -4,7 +4,7 @@ The runtime tracer (`_covtrace.py`, copied into a run's build directory)
 appends one record of observed lines, arcs and frame-exit lines per test to a
 JSON-lines trace store. This module reads that store back, finds the
 executable lines and branch sites of the source, and combines the two into a
-coverage export.
+gcov JSON file entry, the raw coverage format of both lanes.
 
 Branch model: each if/while/for statement contributes two outcome arms, arm 0
 entering the body and arm 1 skipping to the else/exit side. Arm execution is
@@ -12,7 +12,8 @@ decided from traced line-to-line arcs within a frame, plus frame-exit lines
 for loops that fall off the end of their scope. Statements whose body starts
 on the header line (inline bodies) and constant-test headers such as
 `while True` are not measurable this way and are excluded from the totals.
-Conditions are expected to sit on a single line.
+Conditions are expected to sit on the header line: a site whose header line
+fires no trace event is left out too.
 """
 
 from __future__ import annotations
@@ -82,26 +83,24 @@ def _arm_states(
 
 
 def build_export(source: str, store: dict[str, set]) -> dict:
-    """Combine static structure with a loaded trace store."""
-    known = executable_lines(source)
-    arms = [
-        (site.line, arm_id, taken)
+    """A loaded trace store as a gcov JSON file entry.
+
+    Each executable line is listed with `count` 1 if it ran and 0 if not. A
+    branch-site line lists one `branches` item per arm, body arm first, with
+    `count` 1 if the arm was taken.
+    """
+    arms: dict[int, tuple[bool, bool]] = {
+        site.line: _arm_states(site, store["arcs"], store["exits"])
         for site in branch_sites(source)
-        for arm_id, taken in enumerate(_arm_states(site, store["arcs"], store["exits"]))
-    ]
-    return {
-        "executed_lines": sorted(known & store["lines"]),
-        "missing_lines": sorted(known - store["lines"]),
-        "branches": {
-            "total": len(arms),
-            "covered": sum(taken for _, _, taken in arms),
-            "missing": [
-                {"line": line, "branch_id": arm_id}
-                for line, arm_id, taken in arms
-                if not taken
-            ],
-        },
     }
+    return {"lines": [
+        {
+            "line_number": line,
+            "count": int(line in store["lines"]),
+            "branches": [{"count": int(taken)} for taken in arms.get(line, ())],
+        }
+        for line in sorted(executable_lines(source))
+    ]}
 
 
 def load_store(path: Path) -> dict[str, set]:

@@ -23,7 +23,6 @@ from covloop.backends import SchemaId, StubBackend
 from covloop.driver import RunResult, run_loop
 from covloop.evaluator import (
     emit_artifact,
-    parse_dynamic_coverage,
     parse_gcov,
     read_artifact,
 )
@@ -249,7 +248,7 @@ def test_criterion_6_parser_oracles(tmp_path):
             outcome = run_test(target, TestCase(values), timeout=10.0)
             assert not outcome.timed_out
         raw = collect_raw_coverage(target)
-        report = parse_gcov(raw) if language is Language.C else parse_dynamic_coverage(raw)
+        report = parse_gcov(raw)
 
         assert len(report.executed_lines) == executed, name
         assert len(report.executed_lines) + len(report.missing_lines) == executable, name

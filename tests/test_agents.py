@@ -26,13 +26,12 @@ from covloop.model import (
     FeedbackOrigin,
     InputKind,
     InputSignature,
-    Language,
     TestCase,
 )
 from covloop.prompts import build_baseline_prompt
 
-SIG_1 = InputSignature(1, (InputKind.INTEGER,), Language.C)
-SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING), Language.C)
+SIG_1 = InputSignature(1, (InputKind.INTEGER,))
+SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
 
 
 class TestExtractJsonObject:

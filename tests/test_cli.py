@@ -179,3 +179,30 @@ class TestBenchCommand:
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["cguard", "pyguard"]
         assert all(r.split(",")[2] == "100.00" for r in rows)
+
+    def test_sources_sharing_a_stem_get_a_workdir_each(self, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "guard.c").write_text(GUARD_C)
+        (suite / "guard.py").write_text(GUARD_PY)
+        (suite / "echo.c").write_text(ECHO_C)
+        out = tmp_path / "out"
+        assert main(["bench", str(suite), "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["echo", "guard.c", "guard.py"]
+        for name in ("guard.c", "guard.py"):
+            manifest = json.loads((out / f"{name}__-" / "manifest.json").read_text())
+            assert manifest["source"] == name
+            assert (out / f"{name}__-" / "result.json").exists()
+
+    def test_a_stem_shared_across_labels_keeps_its_name(self, tmp_path):
+        suite = tmp_path / "suite"
+        (suite / "10").mkdir(parents=True)
+        (suite / "guard.c").write_text(GUARD_C)
+        (suite / "10" / "guard.py").write_text(GUARD_PY)
+        out = tmp_path / "out"
+        assert main(["bench", str(suite), "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["guard", "-"], ["guard", "10"]]
+        assert (out / "guard__-" / "result.json").exists()
+        assert (out / "guard__10" / "result.json").exists()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from covloop.errors import ParseError
 from covloop.evaluator import (
     emit_artifact,
-    parse_dynamic_coverage,
     parse_gcov,
     read_artifact,
     render_artifact,
@@ -102,41 +101,19 @@ class TestParseGcov:
                 parse_gcov(bad)
 
 
-class TestParseDynamicCoverage:
-    def export(self, executed, missing, total, covered, gaps):
-        return {
-            "executed_lines": executed,
-            "missing_lines": missing,
-            "branches": {"total": total, "covered": covered, "missing": gaps},
-        }
-
-    def test_line_percent_from_arrays(self):
-        report = parse_dynamic_coverage(self.export([1, 2, 4], [3], 0, 0, []))
-        assert report.line_coverage == 75.0
-
-    def test_all_branches_covered(self):
-        report = parse_dynamic_coverage(self.export([1], [], 6, 6, []))
-        assert report.branch_coverage == 100.0
-        assert report.missing_branches == ()
-
-    def test_single_missing_arm(self):
-        report = parse_dynamic_coverage(
-            self.export([1, 2], [], 2, 1, [{"line": 1, "branch_id": 1}])
-        )
-        assert report.branch_coverage == 50.0
-        assert report.missing_branches == (BranchGap(line=1, branch_id=1),)
-
-    def test_schema_mismatch_raises(self):
-        with pytest.raises(ParseError):
-            parse_dynamic_coverage({"lines": [1]})
-
-    def test_inconsistent_counters_raise(self):
-        with pytest.raises(ParseError):
-            parse_dynamic_coverage(self.export([1], [], 4, 1, []))
-
-    def test_overlapping_lines_raise(self):
-        with pytest.raises(ParseError):
-            parse_dynamic_coverage(self.export([1], [1], 0, 0, []))
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(
+        st.integers(1, 8), st.integers(0, 3), st.lists(st.integers(0, 2), max_size=3),
+    ), max_size=12))
+    def test_counters_agree_with_the_listed_lines_and_arms(self, listing):
+        # Counters are derived from the listing, so no entry is inconsistent,
+        # even with a line listed more than once under different counts.
+        report = parse_gcov(entry(*(line(n, count, *arms) for n, count, arms in listing)))
+        arms = [hit for _, _, hits in listing for hit in hits]
+        assert report.executed_lines == {n for n, count, _ in listing if count}
+        assert report.missing_lines == {n for n, _, _ in listing} - report.executed_lines
+        assert report.total_branches == len(arms)
+        assert report.taken_branches == sum(hit > 0 for hit in arms)
 
 
 def report_of(executed, missing, total, taken, gaps=()):

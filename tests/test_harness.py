@@ -8,8 +8,13 @@ import pytest
 
 from conftest import CRASH_ON_NEGATIVE_C, ECHO_C, SPIN_FOREVER_C
 from covloop import harness, pytrace
-from covloop.errors import CompileError, ContractViolation, ToolInvocationError
-from covloop.evaluator import parse_dynamic_coverage, parse_gcov
+from covloop.errors import (
+    CompileError,
+    ContractViolation,
+    MissingToolchain,
+    ToolInvocationError,
+)
+from covloop.evaluator import parse_gcov
 from covloop.model import BranchGap, Language, TestCase
 
 
@@ -113,6 +118,19 @@ class TestPrepareTarget:
         assert [cmd for cmd in spawned if "--version" in cmd] == []
         manifest = json.loads((target.workdir / "manifest.json").read_text())
         assert manifest["gcc"] and manifest["gcov"]
+
+    def test_gcov_without_json_format_is_refused_before_compiling(self, tmp_path, monkeypatch):
+        # gcov before GCC 9 stops at the first option it does not know.
+        fake = tmp_path / "bin" / "gcov"
+        fake.parent.mkdir()
+        fake.write_text('#!/bin/sh\ncase "$*" in *--json-format*)\n'
+                        '  echo "gcov: unrecognized option" >&2; exit 1;;\nesac\n'
+                        'echo "gcov (GCC) 8.3.0"\n')
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
+        with pytest.raises(MissingToolchain, match="--json-format"):
+            prepare_c(tmp_path)
+        assert not (tmp_path / "work").exists()
 
     def test_manifest_records_tools_and_flags(self, tmp_path):
         target = prepare_c(tmp_path)
@@ -259,7 +277,7 @@ class TestCollectRawCoverage:
 
     def test_python_before_any_run_reports_zero_counters(self, tmp_path):
         target = prepare_py(tmp_path, "x = input()\nprint(x)\n")
-        report = parse_dynamic_coverage(harness.collect_raw_coverage(target))
+        report = parse_gcov(harness.collect_raw_coverage(target))
         assert report.executed_lines == frozenset()
         assert report.missing_lines == frozenset({1, 2})
 
@@ -267,9 +285,9 @@ class TestCollectRawCoverage:
         source = "x = int(input())\nif x > 0:\n    print('pos')\nelse:\n    print('neg')\n"
         target = prepare_py(tmp_path, source)
         harness.run_test(target, TestCase(("1",)), timeout=10.0)
-        first = parse_dynamic_coverage(harness.collect_raw_coverage(target))
+        first = parse_gcov(harness.collect_raw_coverage(target))
         harness.run_test(target, TestCase(("-1",)), timeout=10.0)
-        second = parse_dynamic_coverage(harness.collect_raw_coverage(target))
+        second = parse_gcov(harness.collect_raw_coverage(target))
         assert first.executed_lines < second.executed_lines
         assert second.line_coverage == 100.0
         assert second.branch_coverage == 100.0

@@ -13,7 +13,6 @@ from covloop.model import (
     InputKind,
     InputSignature,
     IterationRecord,
-    Language,
     RunConfig,
     TestCase,
     format_pct,
@@ -98,16 +97,16 @@ class TestCoverageReport:
 
 class TestInputSignature:
     def test_valid(self):
-        sig = InputSignature(2, (InputKind.INTEGER, InputKind.STRING), Language.C)
+        sig = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
         assert sig.count == 2
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            InputSignature(1, (), Language.C)
+            InputSignature(1, ())
 
     def test_negative_count_rejected(self):
         with pytest.raises(ContractViolation):
-            InputSignature(-1, (), Language.PYTHON)
+            InputSignature(-1, ())
 
 
 class TestTestCase:

@@ -6,13 +6,12 @@ from covloop.model import (
     FeedbackRefinement,
     InputKind,
     InputSignature,
-    Language,
 )
 from covloop.prompts import build_baseline_prompt, merge_refinements
 
-SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING), Language.PYTHON)
-SIG_0 = InputSignature(0, (), Language.PYTHON)
-SIG_ALL = InputSignature(len(InputKind), tuple(InputKind), Language.C)
+SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
+SIG_0 = InputSignature(0, ())
+SIG_ALL = InputSignature(len(InputKind), tuple(InputKind))
 
 
 def line_fb(*refinements):

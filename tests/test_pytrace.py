@@ -1,4 +1,4 @@
-"""Tests for the Python lane: static analysis, export, trace store, tracer."""
+"""Tests for the Python lane: static analysis, gcov entry, trace store, tracer."""
 
 import os
 import subprocess
@@ -9,6 +9,8 @@ import pytest
 from conftest import require_interpreter
 from covloop import _covtrace, pytrace
 from covloop.errors import ParseError
+from covloop.evaluator import parse_gcov
+from covloop.model import BranchGap
 
 BRANCHY = """\
 def classify(n):
@@ -54,14 +56,19 @@ class TestStaticAnalysis:
         assert [(s.line, s.body_target) for s in sites] == [(1, 2)]
 
 
+def report_of(source, store):
+    """The report the loop derives from a trace store: via the gcov JSON entry."""
+    return parse_gcov(pytrace.build_export(source, store))
+
+
 class TestBuildExport:
     def test_empty_store_reports_everything_missing(self, tmp_path):
-        export = pytrace.build_export(BRANCHY, pytrace.load_store(tmp_path / "none.jsonl"))
-        assert export["executed_lines"] == []
-        assert export["missing_lines"] == [1, 2, 3, 4, 6, 7, 8, 9]
-        assert export["branches"]["total"] == 4
-        assert export["branches"]["covered"] == 0
-        assert len(export["branches"]["missing"]) == 4
+        report = report_of(BRANCHY, pytrace.load_store(tmp_path / "none.jsonl"))
+        assert report.executed_lines == frozenset()
+        assert report.missing_lines == frozenset({1, 2, 3, 4, 6, 7, 8, 9})
+        assert report.total_branches == 4
+        assert report.taken_branches == 0
+        assert len(report.missing_branches) == 4
 
     def test_arcs_decide_branch_arms(self):
         # Trace shape for input 2: loop entered and exited, if-false only.
@@ -70,23 +77,32 @@ class TestBuildExport:
             "arcs": {(1, 6), (2, 4), (6, 7), (7, 8), (7, 9), (8, 7)},
             "exits": {4, 9},
         }
-        export = pytrace.build_export(BRANCHY, store)
-        assert export["missing_lines"] == [3]
-        assert export["branches"]["total"] == 4
-        assert export["branches"]["covered"] == 3
-        assert export["branches"]["missing"] == [{"line": 2, "branch_id": 0}]
+        report = report_of(BRANCHY, store)
+        assert report.missing_lines == frozenset({3})
+        assert report.total_branches == 4
+        assert report.taken_branches == 3
+        assert report.missing_branches == (BranchGap(line=2, branch_id=0),)
 
     def test_exit_detects_loop_falloff(self):
         source = "for i in range(2):\n    print(i)\n"
         store = {"lines": {1, 2}, "arcs": {(1, 2), (2, 1)}, "exits": {1}}
-        export = pytrace.build_export(source, store)
-        assert export["branches"]["covered"] == 2
+        assert report_of(source, store).taken_branches == 2
+
+    def test_entry_is_a_gcov_file_entry(self):
+        source = "x = int(input())\nif x:\n    x = 2\nprint(x)\n"
+        store = {"lines": {1, 2, 4}, "arcs": {(1, 2), (2, 4)}, "exits": {4}}
+        assert pytrace.build_export(source, store) == {"lines": [
+            {"line_number": 1, "count": 1, "branches": []},
+            {"line_number": 2, "count": 1, "branches": [{"count": 0}, {"count": 1}]},
+            {"line_number": 3, "count": 0, "branches": []},
+            {"line_number": 4, "count": 1, "branches": []},
+        ]}
 
     def test_foreign_lines_ignored(self):
         store = {"lines": {1, 999}, "arcs": set(), "exits": set()}
-        export = pytrace.build_export("x = 1\n", store)
-        assert export["executed_lines"] == [1]
-        assert export["missing_lines"] == []
+        report = report_of("x = 1\n", store)
+        assert report.executed_lines == frozenset({1})
+        assert report.missing_lines == frozenset()
 
 
 class TestLoadStore:
