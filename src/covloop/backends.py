@@ -1,10 +1,10 @@
 """Completion backends: a deterministic offline stub and a generic HTTP client.
 
-The stub makes the whole loop testable without a model endpoint. Its replies
-are a pure function of the prompt text given to it: repeated identical prompts
-produce byte-identical payloads, while each previously unseen generation
-prompt advances a boundary-value enumeration so successive iterations see new
-candidate batches. When the prompt carries an "Additional Focus Areas"
+The stub makes the whole loop testable without a model endpoint. Each
+generation call advances a boundary-value enumeration, so successive
+iterations see new candidate batches; a prompt sent again would get the next
+batch, but the loop driver never sends one again. Analyst replies are a pure
+function of the prompt. When the prompt carries an "Additional Focus Areas"
 section, integer and char literals found there are substituted into matching
 input slots (cartesian product, capped), which is what lets feedback flip
 comparison-guarded branches offline.
@@ -87,24 +87,17 @@ class StubBackend(CompletionBackend):
         self.model_id = model_id
         self.max_retries = max_retries
         self._lock = threading.Lock()
-        self._memo: dict[str, str] = {}
         self._batch_counter = 0
 
     def raw_complete(self, prompt: str, schema_id: SchemaId) -> str:
         if schema_id is SchemaId.REFINEMENT:
             return json.dumps(_stub_refinement(prompt), sort_keys=True)
         with self._lock:
-            cached = self._memo.get(prompt)
-            if cached is not None:
-                return cached
             batch_index = self._batch_counter
             self._batch_counter += 1
-        payload = json.dumps(
+        return json.dumps(
             {"test_cases": _stub_test_cases(prompt, batch_index)}, sort_keys=True
         )
-        with self._lock:
-            self._memo.setdefault(prompt, payload)
-        return self._memo[prompt]
 
 
 def _prompt_kinds(prompt: str) -> list[InputKind]:

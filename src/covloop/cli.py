@@ -100,7 +100,7 @@ def cli_run(args) -> int:
     print(f"termination:     {result.termination.value}")
     if result.termination is Termination.THRESHOLD_MET:
         return EXIT_OK
-    if result.termination is Termination.K_MAX_REACHED:
+    if result.termination in (Termination.K_MAX_REACHED, Termination.STAGNATED):
         return EXIT_CAP_REACHED
     return EXIT_ERROR
 

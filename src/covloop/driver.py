@@ -8,6 +8,13 @@ threshold or the iteration cap runs out. Otherwise both gap analysts run (in
 parallel, each only when its gap set is non-empty) and their refinements
 replace the focus section for the next round.
 
+The loop also stops, before writing or sending it, at the first generation
+prompt equal to one it already sent. An equal prompt carries an equal cache
+summary, so no case was added since; with a backend that answers a prompt
+the same way each time, the rest of the run would repeat a cycle that adds
+nothing. So no request is sent twice: the analyst prompts embed the
+generation prompt verbatim, and cannot repeat either.
+
 Only newly added cases are executed each iteration: instrumentation counters
 accumulate, so re-running the whole suite would change nothing except cost.
 An iteration that executes no case reuses the previous coverage report
@@ -53,7 +60,6 @@ class RunResult:
     termination: Termination
     total_duration: float
     executed_processes: int
-    stagnated: bool
     cache: TestSuiteCache
     workdir: Path
 
@@ -87,9 +93,7 @@ def run_loop(
     report = _evaluate(target)
     termination = Termination.K_MAX_REACHED
     executed = 0
-    zero_novel_streak = 0
-    stagnated = False
-    previous_gaps: tuple[frozenset[int], tuple] | None = None
+    sent_prompts: set[str] = set()
 
     for k in range(config.k_max):
         iter_started = time.monotonic()
@@ -98,6 +102,10 @@ def run_loop(
         )
         bundle = merge_refinements(bundle, line_fb, branch_fb)
         prompt_text = bundle.render()
+        if prompt_text in sent_prompts:
+            termination = Termination.STAGNATED
+            break
+        sent_prompts.add(prompt_text)
         (target.prompts_dir / f"iter_{k}.txt").write_text(prompt_text, encoding="utf-8")
 
         try:
@@ -140,12 +148,6 @@ def run_loop(
             format_pct(report.branch_coverage),
         )
 
-        gaps_now = (report.missing_lines, report.missing_branches)
-        zero_novel_streak = zero_novel_streak + 1 if not novel else 0
-        if zero_novel_streak >= 2 and gaps_now == previous_gaps:
-            stagnated = True
-        previous_gaps = gaps_now
-
         if report.total_coverage >= config.threshold:
             termination = Termination.THRESHOLD_MET
             break
@@ -167,7 +169,6 @@ def run_loop(
         termination=termination,
         total_duration=time.monotonic() - started,
         executed_processes=executed,
-        stagnated=stagnated,
         cache=cache,
         workdir=target.workdir,
     )
@@ -212,7 +213,6 @@ def result_dict(result: RunResult) -> dict:
         "termination": result.termination.value,
         "total_duration_sec": round(result.total_duration, 3),
         "executed_processes": result.executed_processes,
-        "stagnated": result.stagnated,
         "test_cases": len(result.cache),
         "final_coverage": {
             "line_coverage": float(format_pct(result.final_report.line_coverage)),

@@ -35,6 +35,7 @@ class Termination(enum.Enum):
     THRESHOLD_MET = "threshold_met"
     K_MAX_REACHED = "k_max_reached"
     BACKEND_FAILURE = "backend_failure"
+    STAGNATED = "stagnated"
 
 
 class FeedbackOrigin(enum.Enum):

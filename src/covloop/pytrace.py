@@ -7,13 +7,14 @@ executable lines and branch sites of the source, and combines the two into a
 gcov JSON file entry, the raw coverage format of both lanes.
 
 Branch model: each if/while/for statement contributes two outcome arms, arm 0
-entering the body and arm 1 skipping to the else/exit side. Arm execution is
-decided from traced line-to-line arcs within a frame, plus frame-exit lines
-for loops that fall off the end of their scope. Statements whose body starts
-on the header line (inline bodies) and constant-test headers such as
-`while True` are not measurable this way and are excluded from the totals.
-Conditions are expected to sit on the header line: a site whose header line
-fires no trace event is left out too.
+entering the body and arm 1 skipping to the else/exit side. A statement's
+header spans the lines from its keyword to the end of its condition (a
+`for`'s iterable). Arm execution is decided from traced line-to-line arcs
+within a frame that leave the span, plus frame-exit lines on the span for
+loops that fall off the end of their scope; the arms are reported on the
+span's first executable line. Statements whose body starts on the header
+(inline bodies) and constant-test headers such as `while True` are not
+measurable this way and are excluded from the totals.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def executable_lines(source: str, filename: str = "<target>") -> set[int]:
 
 @dataclass(frozen=True)
 class BranchSite:
-    """One measurable two-arm conditional statement."""
+    """One measurable two-arm conditional statement, header on `span`."""
 
-    line: int
+    span: range
     body_target: int
     else_target: int | None  # first line of the else/elif side, None if absent
 
@@ -59,25 +60,26 @@ def branch_sites(source: str) -> list[BranchSite]:
         test = getattr(node, "test", None)
         if isinstance(test, ast.Constant):
             continue  # compiler folds constant tests; no runtime branch exists
+        span = range(node.lineno, (test or node.iter).end_lineno + 1)
         body_target = node.body[0].lineno
         else_target = node.orelse[0].lineno if node.orelse else None
-        if body_target == node.lineno or else_target == node.lineno:
+        if body_target in span or else_target in span:
             continue  # inline body, indistinguishable in line events
-        sites.append(BranchSite(node.lineno, body_target, else_target))
-    return sorted(sites, key=lambda s: s.line)
+        sites.append(BranchSite(span, body_target, else_target))
+    return sorted(sites, key=lambda s: s.span.start)
 
 
 def _arm_states(
     site: BranchSite, arcs: set[tuple[int, int]], exit_lines: set[int]
 ) -> tuple[bool, bool]:
     """(body arm taken, else/exit arm taken) under the observed trace."""
-    targets_from_header = {dst for src, dst in arcs if src == site.line}
-    body_taken = site.body_target in targets_from_header
+    leaving = {dst for src, dst in arcs if src in site.span and dst not in site.span}
+    body_taken = site.body_target in leaving
     if site.else_target is not None:
-        else_taken = site.else_target in targets_from_header
+        else_taken = site.else_target in leaving
     else:
-        else_taken = bool(targets_from_header - {site.body_target}) or (
-            site.line in exit_lines
+        else_taken = bool(leaving - {site.body_target}) or any(
+            line in exit_lines for line in site.span
         )
     return body_taken, else_taken
 
@@ -89,17 +91,19 @@ def build_export(source: str, store: dict[str, set]) -> dict:
     branch-site line lists one `branches` item per arm, body arm first, with
     `count` 1 if the arm was taken.
     """
-    arms: dict[int, tuple[bool, bool]] = {
-        site.line: _arm_states(site, store["arcs"], store["exits"])
-        for site in branch_sites(source)
-    }
+    executable = executable_lines(source)
+    arms: dict[int, tuple[bool, bool]] = {}
+    for site in branch_sites(source):
+        first = next((line for line in site.span if line in executable), None)
+        if first is not None:
+            arms[first] = _arm_states(site, store["arcs"], store["exits"])
     return {"lines": [
         {
             "line_number": line,
             "count": int(line in store["lines"]),
             "branches": [{"count": int(taken)} for taken in arms.get(line, ())],
         }
-        for line in sorted(executable_lines(source))
+        for line in sorted(executable)
     ]}
 
 

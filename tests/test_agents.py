@@ -322,13 +322,6 @@ class TestFeedbackAgents:
         refinement = branch_feedback(StubBackend(), "a\nb\nc\n", gaps, "p")
         assert len(refinement.prompt_refinements) >= 1
 
-    def test_stub_is_pure_per_prompt(self):
-        backend = StubBackend()
-        prompt = build_baseline_prompt(SIG_1, "").render()
-        first = backend.raw_complete(prompt, SchemaId.TEST_CASES)
-        second = backend.raw_complete(prompt, SchemaId.TEST_CASES)
-        assert first == second
-
 
 class _Endpoint(BaseHTTPRequestHandler):
     # (status, headers, body) tuples consumed in order; a None status sends

@@ -34,6 +34,13 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    def test_repeated_prompt_exits_two(self, tmp_path):
+        target = tmp_path / "square.py"
+        target.write_text("x = int(input())\nif x * x == -1:\n    print('no')\n")
+        out = tmp_path / "out"
+        assert main(["run", str(target), "--out", str(out)]) == 2
+        assert json.loads((out / "result.json").read_text())["termination"] == "stagnated"
+
     def test_default_relative_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         for name, source in (("guard.c", GUARD_C), ("guard.py", GUARD_PY)):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ConstantPayloadBackend, make_config
 from covloop import harness
-from covloop.backends import SchemaId, StubBackend
+from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.driver import run_loop
 from covloop.errors import MalformedResponse, UnsupportedLanguage
 from covloop.model import Termination
@@ -38,30 +38,40 @@ class TestGuardTarget:
         assert len(payload["iterations"]) == len(result.iterations)
 
 
+class RecordingBackend(CompletionBackend):
+    """Forwards to an inner backend and records each (schema, prompt) pair."""
+
+    def __init__(self, inner: CompletionBackend):
+        self.model_id = inner.model_id
+        self.max_retries = inner.max_retries
+        self.inner = inner
+        self.requests = []  # list.append is atomic across the analyst threads
+
+    def raw_complete(self, prompt, schema_id):
+        self.requests.append((schema_id, prompt))
+        return self.inner.raw_complete(prompt, schema_id)
+
+
 class TestTermination:
     def test_constant_payload_runs_to_cap(self, tmp_path, guard_c):
         backend = ConstantPayloadBackend([["1"], ["2"]])
         result = run_loop(make_config(tmp_path), guard_c, backend=backend)
-        assert result.termination is Termination.K_MAX_REACHED
-        assert len(result.iterations) == 10
-        assert all(r.novel_tests == 0 for r in result.iterations[1:])
-        assert result.stagnated
+        assert result.termination is Termination.STAGNATED
+        assert [r.novel_tests for r in result.iterations] == [2, 0]
+        assert sorted(p.name for p in (result.workdir / "prompts").iterdir()) == [
+            "iter_0.txt", "iter_1.txt",
+        ]
+        payload = json.loads((result.workdir / "result.json").read_text())
+        assert payload["termination"] == "stagnated"
+        assert "stagnated" not in payload
 
     def test_no_analysts_after_the_last_iteration(self, tmp_path, guard_c):
-        class CountingBackend(ConstantPayloadBackend):
-            def __init__(self, cases):
-                super().__init__(cases)
-                self.schemas = []  # list.append is atomic across the analyst threads
-
-            def raw_complete(self, prompt, schema_id):
-                self.schemas.append(schema_id)
-                return super().raw_complete(prompt, schema_id)
-
-        backend = CountingBackend([["1"], ["2"]])
-        k_max = 4
+        backend = RecordingBackend(ConstantPayloadBackend([["1"], ["2"]]))
+        k_max = 2  # the prompt repeats at iteration 2, so 2 still reaches the cap
         result = run_loop(make_config(tmp_path, k_max=k_max), guard_c, backend=backend)
         assert result.termination is Termination.K_MAX_REACHED
-        assert backend.schemas.count(SchemaId.REFINEMENT) == 2 * (k_max - 1)
+        schemas = [schema for schema, _ in backend.requests]
+        assert schemas.count(SchemaId.REFINEMENT) == 2 * (k_max - 1)
 
     def test_iteration_without_tests_reuses_its_report(self, tmp_path, guard_c, monkeypatch):
         collected = []
@@ -70,9 +80,9 @@ class TestTermination:
                             lambda target: collected.append(target) or collect(target))
         backend = ConstantPayloadBackend([["1"], ["2"]])
         result = run_loop(make_config(tmp_path, k_max=4), guard_c, backend=backend)
-        assert [r.novel_tests for r in result.iterations] == [2, 0, 0, 0]
+        assert [r.novel_tests for r in result.iterations] == [2, 0]
         assert len(collected) == 2  # before the loop, and after iteration 0
-        artifacts = [result.workdir / "coverage" / f"iter_{k}.json" for k in range(4)]
+        artifacts = [result.workdir / "coverage" / f"iter_{k}.json" for k in range(2)]
         assert len({a.read_text() for a in artifacts}) == 1
 
     def test_stub_stalls_on_unreachable_value_but_terminates(self, tmp_path):
@@ -97,6 +107,25 @@ class TestTermination:
         source.write_text("fn main() {}\n")
         with pytest.raises(UnsupportedLanguage):
             run_loop(make_config(tmp_path), source)
+
+
+class TestNoRepeatedRequests:
+    @pytest.mark.parametrize("fixture, make_backend, overrides", [
+        ("guard_c", StubBackend, {}),
+        ("nested_guards_c", StubBackend, {}),
+        ("nested_guards_c", StubBackend, {"branch_feedback_enabled": False}),
+        ("guard_c", lambda: ConstantPayloadBackend([["1"], ["2"]]), {}),
+        ("nested_guards_c", lambda: ConstantPayloadBackend([["1", "2", "3"]]), {}),
+    ], ids=["guard-stub", "nested-stub", "nested-stub-line-only",
+            "guard-constant", "nested-constant"])
+    def test_no_request_is_sent_twice(
+        self, tmp_path, request, fixture, make_backend, overrides
+    ):
+        backend = RecordingBackend(make_backend())
+        source = request.getfixturevalue(fixture)
+        run_loop(make_config(tmp_path, **overrides), source, backend=backend)
+        # Neither inner backend replies malformed, so no retry resends a prompt.
+        assert len(backend.requests) == len(set(backend.requests))
 
 
 class TestBackendFailure:

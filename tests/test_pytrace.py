@@ -24,6 +24,27 @@ while x > 0:
 print(classify(x))
 """
 
+# Conditions and a for's iterable that span lines: the `if (` and `):` lines
+# fire no trace event, and the arcs into each body leave from a later line.
+MULTILINE = """\
+x = int(input())
+y = int(input())
+if (x > 0 and
+        y > 0):
+    print("both")
+if (
+    x > 0
+):
+    print("pos")
+while (x > 0 and
+       y > 0):
+    x -= 1
+for i in range(
+        y):
+    print(i)
+print("done")
+"""
+
 
 class TestStaticAnalysis:
     def test_executable_lines(self):
@@ -32,17 +53,17 @@ class TestStaticAnalysis:
 
     def test_branch_sites(self):
         sites = pytrace.branch_sites(BRANCHY)
-        assert [(s.line, s.body_target, s.else_target) for s in sites] == [
-            (2, 3, None),
-            (7, 8, None),
+        assert [(s.span, s.body_target, s.else_target) for s in sites] == [
+            (range(2, 3), 3, None),
+            (range(7, 8), 8, None),
         ]
 
     def test_else_and_elif_targets(self):
         source = "if a:\n    x = 1\nelif b:\n    x = 2\nelse:\n    x = 3\n"
         sites = pytrace.branch_sites(source)
-        assert [(s.line, s.body_target, s.else_target) for s in sites] == [
-            (1, 2, 3),
-            (3, 4, 6),
+        assert [(s.span, s.body_target, s.else_target) for s in sites] == [
+            (range(1, 2), 2, 3),
+            (range(3, 4), 4, 6),
         ]
 
     def test_constant_test_excluded(self):
@@ -50,10 +71,20 @@ class TestStaticAnalysis:
 
     def test_inline_body_excluded(self):
         assert pytrace.branch_sites("if x: y = 1\n") == []
+        assert pytrace.branch_sites("if (x and\n        y): z = 1\n") == []
 
     def test_for_loop_is_a_site(self):
         sites = pytrace.branch_sites("for i in range(3):\n    print(i)\n")
-        assert [(s.line, s.body_target) for s in sites] == [(1, 2)]
+        assert [(s.span, s.body_target) for s in sites] == [(range(1, 2), 2)]
+
+    def test_header_span_ends_with_the_condition(self):
+        sites = pytrace.branch_sites(MULTILINE)
+        assert [(s.span, s.body_target) for s in sites] == [
+            (range(3, 5), 5),
+            (range(6, 8), 9),
+            (range(10, 12), 12),
+            (range(13, 15), 15),
+        ]
 
 
 def report_of(source, store):
@@ -214,3 +245,15 @@ def test_same_store_on_every_interpreter(tmp_path, minor):
             assert proc.returncode == 0, proc.stderr
         stores.append(pytrace.load_store(store))
     assert stores[1] == stores[0]
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_multiline_conditions_are_measured(tmp_path, minor):
+    python = require_interpreter(minor)
+    for stdin in ("1\n1\n", "1\n0\n", "0\n1\n"):
+        proc, store = run_tracer(tmp_path, MULTILINE, stdin, python=python)
+        assert proc.returncode == 0, proc.stderr
+    report = report_of(MULTILINE, pytrace.load_store(store))
+    assert report.missing_lines == frozenset()
+    assert report.total_branches == 8
+    assert report.missing_branches == ()
