@@ -40,6 +40,7 @@ from .errors import BackendError
 from .model import (
     CoverageReport,
     FeedbackRefinement,
+    InputSignature,
     IterationRecord,
     RunConfig,
     Termination,
@@ -84,8 +85,23 @@ def run_loop(
         log.info("analyzer: %s (line %s)", warning.message, warning.line)
 
     backend = backend or make_backend(config)
-    target = harness.prepare_target(source_path, language, config.workdir)
+    with harness.prepare_target(source_path, language, config.workdir) as target:
+        result = _iterate(config, target, backend, signature, source, started)
+    target.result_path.write_text(
+        json.dumps(result_dict(result), indent=2) + "\n", encoding="utf-8"
+    )
+    return result
 
+
+def _iterate(
+    config: RunConfig,
+    target: harness.PreparedTarget,
+    backend: CompletionBackend,
+    signature: InputSignature,
+    source: str,
+    started: float,
+) -> RunResult:
+    """The loop itself, over a prepared target that the caller closes."""
     cache = TestSuiteCache()
     line_fb: FeedbackRefinement | None = None
     branch_fb: FeedbackRefinement | None = None
@@ -163,7 +179,7 @@ def run_loop(
             termination = Termination.BACKEND_FAILURE
             break
 
-    result = RunResult(
+    return RunResult(
         final_report=report,
         iterations=records,
         termination=termination,
@@ -172,10 +188,6 @@ def run_loop(
         cache=cache,
         workdir=target.workdir,
     )
-    target.result_path.write_text(
-        json.dumps(result_dict(result), indent=2) + "\n", encoding="utf-8"
-    )
-    return result
 
 
 def _evaluate(target: harness.PreparedTarget) -> CoverageReport:

@@ -18,11 +18,19 @@ C targets are compiled with gcc profile instrumentation and read back through
 later, tested with GCC 12.2); no `.gcov` file is written. Python targets run
 under the bundled tracer, which appends one record per test to the trace
 store, and `pytrace` turns the store into the same gcov JSON file entry, so
-both lanes report one raw coverage format. Each prepared target carries the
-argv of its tests, so running a test does not depend on the language.
-Tests of one target run one at a time, so the store has a single writer.
-Coverage accumulates across runs of one prepared target and is never reset
-within a run, so reported coverage is monotone over the loop.
+both lanes report one raw coverage format. Coverage accumulates across runs
+of one prepared target and is never reset within a run, so reported
+coverage is monotone over the loop.
+
+Tests run through one test server per target, started by its first test
+and stopped by `PreparedTarget.close()`. The server is the target itself,
+started once: a C binary, whose linked-in `_forksrv.c` shim takes over
+before `main`, or the Python tracer. It forks one child per test, so a test
+pays for a fork instead of an exec, the dynamic loader and the start-up of
+libc or the interpreter. Both lanes speak the protocol of `testserver`, so
+running a test does not depend on the language. Tests of one target run one
+at a time, so the Python trace store has a single writer. The servers need
+Linux 5.3 or later.
 """
 
 from __future__ import annotations
@@ -30,12 +38,13 @@ from __future__ import annotations
 import functools
 import json
 import os
-import select
 import shutil
 import subprocess
 import sys
+import tempfile
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,10 +57,12 @@ from .errors import (
     ToolInvocationError,
 )
 from .model import Language, TestCase
+from .testserver import TestServer
 
 GCC_COVERAGE_FLAGS = ["-fprofile-arcs", "-ftest-coverage", "-O0"]
 GCOV_FLAGS = ["-b", "--json-format", "--stdout"]  # without -b: no branches
 _TRACER_NAME = "_covtrace.py"
+_SHIM_NAME = "_forksrv.c"
 
 
 @dataclass
@@ -60,7 +71,20 @@ class PreparedTarget:
     workdir: Path
     executable_or_script: Path
     source_name: str = ""
-    test_argv: tuple[str, ...] = ()  # the command each test runs
+    test_argv: tuple[str, ...] = ()  # the command that starts the test server
+    _server: TestServer | None = field(default=None, init=False, repr=False, compare=False)
+
+    def close(self) -> None:
+        """Stop the test server, if a test started one. Idempotent."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+
+    def __enter__(self) -> PreparedTarget:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def build_dir(self) -> Path:
@@ -178,9 +202,12 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> None:
     binary = target.build_dir / "target"
     # Compile and link separately so the .gcno/.gcda names track the source
     # file instead of being prefixed with the binary name.
+    shim = target.build_dir / "_forksrv.o"
+    shim.write_bytes(_shim_object())
     compile_cmd = ["gcc", *GCC_COVERAGE_FLAGS, "-c", local_source.name,
                    "-o", object_file.name]
-    link_cmd = ["gcc", "-fprofile-arcs", object_file.name, "-o", binary.name]
+    # The shim comes last, so its constructor runs after the target's own.
+    link_cmd = ["gcc", "-fprofile-arcs", object_file.name, shim.name, "-o", binary.name]
     for cmd in (compile_cmd, link_cmd):
         proc = subprocess.run(
             cmd, cwd=target.build_dir, capture_output=True, text=True
@@ -190,6 +217,29 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> None:
                 f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}"
             )
     target.executable_or_script = binary
+
+
+_shim_lock = threading.Lock()
+
+
+def _shim_object() -> bytes:
+    """The fork server shim, compiled once per process; safe across threads."""
+    with _shim_lock:
+        return _compile_shim()
+
+
+@functools.cache
+def _compile_shim() -> bytes:
+    # Uninstrumented, as its lines are not the target's. At -O0, because
+    # cc1 then peaks no higher than for a target, and lower than at -O2.
+    with tempfile.TemporaryDirectory(prefix="covloop-") as scratch:
+        out = Path(scratch) / "_forksrv.o"
+        cmd = ["gcc", "-O0", "-c", str(Path(__file__).with_name(_SHIM_NAME)), "-o", str(out)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise CompileError(
+                f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
+        return out.read_bytes()
 
 
 def _write_manifest(target: PreparedTarget) -> None:
@@ -223,76 +273,37 @@ def _tool_version(tool: str) -> str:
 def run_test(
     target: PreparedTarget, tc: TestCase, timeout: float
 ) -> ExecutionOutcome:
-    """Execute one test case: values joined by LF, trailing LF, stdin closed.
+    """Execute one test case: values joined by LF, trailing LF, then end of file.
 
-    `timeout` is wall time. A timeout is not an error; the child is killed
-    and the outcome records timed_out=True. Crashes are recorded through
-    exit_status and execution continues. Run one test of a target at a
-    time: a Python test's tracer appends to the trace store, which has a
-    single writer.
+    `timeout` is wall time. A timeout is not an error; the test's process
+    group is killed and the outcome records timed_out=True. Crashes are
+    recorded through exit_status and execution continues. The first test of
+    a target starts its test server, which `target.close()` stops. Run one
+    test of a target at a time: a server runs one test at a time, and a
+    Python test's tracer appends to the trace store, which has a single
+    writer.
     """
     start = time.monotonic()
+    if target._server is None:
+        target._server = TestServer(target.test_argv, target.build_dir)
     try:
-        proc = _Child(target.test_argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                      stderr=subprocess.PIPE, cwd=target.build_dir)
-    except OSError as exc:
-        raise SpawnError(f"cannot launch {target.test_argv[0]}: {exc}") from exc
-    with proc:
-        try:
-            stdout, stderr = proc.communicate(
-                tc.stdin_payload().encode("utf-8"), timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            proc.kill()
-            proc.wait()
-            if target.data_store.exists():  # only Python targets have a store
-                # A tracer killed mid-write leaves a cut-off record; drop it so
-                # the next test's record starts on a line of its own.
-                with open(target.data_store, "rb+") as store:
-                    store.truncate(store.read().rfind(b"\n") + 1)
-            return ExecutionOutcome(
-                exit_status=None,
-                timed_out=True,
-                stdout_bytes=exc.stdout or b"",
-                stderr_bytes=exc.stderr or b"",
-                duration=time.monotonic() - start,
-            )
-        except BaseException:
-            proc.kill()  # leaving the block waits for it
-            raise
+        exit_status, stdout, stderr = target._server.run(
+            tc.stdin_payload().encode("utf-8"), timeout)
+    except SpawnError:
+        target.close()
+        raise
+    if exit_status is None and target.data_store.exists():  # only Python targets have a store
+        # A tracer killed mid-write leaves a cut-off record; drop it so the
+        # next test's record starts on a line of its own.
+        with open(target.data_store, "rb+") as store:
+            store.truncate(store.read().rfind(b"\n") + 1)
     return ExecutionOutcome(
-        exit_status=proc.returncode,
-        timed_out=False,
+        exit_status=exit_status,
+        timed_out=exit_status is None,
         stdout_bytes=stdout,
         stderr_bytes=stderr,
         duration=time.monotonic() - start,
     )
-
-
-class _Child(subprocess.Popen):
-    """A Popen whose timed wait sleeps until the child exits.
-
-    `Popen.wait(timeout)` polls waitpid with sleeps that start at 1 ms. The
-    wait that `communicate` makes once the child has closed its pipes nearly
-    always takes that first sleep, because the child has not quite exited:
-    about 1.2 ms of a 1.7 ms C test. Where the platform has pidfds (Linux
-    5.3+), this waits on the child's pidfd instead, with poll, which has no
-    ceiling on descriptor numbers.
-    """
-
-    def wait(self, timeout=None):
-        if timeout is not None and self.returncode is None and hasattr(os, "pidfd_open"):
-            try:
-                pidfd = os.pidfd_open(self.pid)
-            except OSError:  # a kernel without pidfds
-                return super().wait(timeout)
-            try:
-                poller = select.poll()
-                poller.register(pidfd, select.POLLIN)
-                if not poller.poll(max(timeout, 0) * 1000):
-                    timeout = 0
-            finally:
-                os.close(pidfd)
-        return super().wait(timeout)
 
 
 def collect_raw_coverage(target: PreparedTarget) -> dict:

@@ -244,10 +244,10 @@ def test_criterion_6_parser_oracles(tmp_path):
     for name, source, runs, executed, executable, taken, arms in ORACLE_FIXTURES:
         source_path = write(tmp_path, name, source)
         language = Language.C if name.endswith(".c") else Language.PYTHON
-        target = prepare_target(source_path, language, tmp_path / f"work_{name}")
-        for values in runs:
-            outcome = run_test(target, TestCase(values), timeout=10.0)
-            assert not outcome.timed_out
+        with prepare_target(source_path, language, tmp_path / f"work_{name}") as target:
+            for values in runs:
+                outcome = run_test(target, TestCase(values), timeout=10.0)
+                assert not outcome.timed_out
         raw = collect_raw_coverage(target)
         report = parse_gcov(raw)
 

@@ -1,6 +1,9 @@
 """End-to-end loop driver tests against the offline backends."""
 
+import ctypes
 import json
+import os
+import time
 
 import pytest
 
@@ -8,7 +11,7 @@ from conftest import ConstantPayloadBackend, make_config
 from covloop import harness
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.driver import run_loop
-from covloop.errors import MalformedResponse, UnsupportedLanguage
+from covloop.errors import MalformedResponse, TransportError, UnsupportedLanguage
 from covloop.model import Termination
 
 
@@ -85,16 +88,16 @@ class TestTermination:
         artifacts = [result.workdir / "coverage" / f"iter_{k}.json" for k in range(2)]
         assert len({a.read_text() for a in artifacts}) == 1
 
-    def test_stub_stalls_on_unreachable_value_but_terminates(self, tmp_path):
+    def test_stub_reaches_a_large_constant_through_the_focus_section(self, tmp_path):
+        # No boundary value hits 987654321123; the branch analyst quotes it,
+        # and the stub substitutes it in the next round.
         source = tmp_path / "unreachable.py"
         source.write_text(
             "x = int(input())\nif x == 987654321123:\n    print('no')\n"
         )
         result = run_loop(make_config(tmp_path, k_max=4), source)
-        assert result.termination in (
-            Termination.K_MAX_REACHED, Termination.THRESHOLD_MET
-        )
-        assert len(result.iterations) <= 4
+        assert result.termination is Termination.THRESHOLD_MET
+        assert [r.novel_tests for r in result.iterations] == [5, 1]
 
     def test_trivial_target_exits_first_iteration(self, tmp_path, echo_c):
         result = run_loop(make_config(tmp_path), echo_c)
@@ -175,3 +178,75 @@ class TestLoopAccounting:
         )
         assert dual.final_report.branch_coverage == 100.0
         assert single.final_report.branch_coverage < 100.0
+
+
+PR_SET_CHILD_SUBREAPER = 36
+
+
+@pytest.fixture
+def subreaper():
+    """Make this process, for one test, the parent of every orphan among its
+    descendants, so that a process a run leaves behind stays its child."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        pytest.skip("this process already has children")
+    except ChildProcessError:
+        pass
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    if prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        pytest.skip(f"prctl: {os.strerror(ctypes.get_errno())}")
+    try:
+        yield
+    finally:
+        prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
+        # Reap what a failing run left behind, so the next test starts clean.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            try:
+                if os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG) is None:
+                    time.sleep(0.05)
+            except ChildProcessError:
+                break
+
+
+class FailingFeedbackBackend(CompletionBackend):
+    """Generates with the stub, then raises `error` from the first analyst."""
+
+    def __init__(self, error: Exception):
+        self.model_id = "failing"
+        self.max_retries = 3
+        self.error = error
+        self._stub = StubBackend()
+
+    def raw_complete(self, prompt, schema_id):
+        if schema_id is SchemaId.REFINEMENT:
+            raise self.error
+        return self._stub.raw_complete(prompt, schema_id)
+
+
+class TestNoProcessOutlivesTheRun:
+    """Each way a run ends stops the target's test server and its idle child."""
+
+    @pytest.mark.parametrize("fixture", ["guard_c", "guard_py"])
+    @pytest.mark.parametrize("make_backend, ending", [
+        (StubBackend, Termination.THRESHOLD_MET),
+        (lambda: ConstantPayloadBackend([["1"], ["2"]]), Termination.STAGNATED),
+        (lambda: FailingFeedbackBackend(TransportError("down")), Termination.BACKEND_FAILURE),
+        (lambda: FailingFeedbackBackend(RuntimeError("boom")), RuntimeError),
+    ], ids=["threshold_met", "stagnated", "backend_failure", "backend_exception"])
+    def test_every_ending_reaps_the_server(self, tmp_path, request, monkeypatch, subreaper,
+                                           fixture, make_backend, ending):
+        tests = []
+        run_test = harness.run_test
+        monkeypatch.setattr(harness, "run_test",
+                            lambda *args: tests.append(args) or run_test(*args))
+        source = request.getfixturevalue(fixture)
+        if isinstance(ending, Termination):
+            result = run_loop(make_config(tmp_path), source, backend=make_backend())
+            assert result.termination is ending
+        else:
+            with pytest.raises(ending):
+                run_loop(make_config(tmp_path), source, backend=make_backend())
+        assert tests  # a server was started
+        with pytest.raises(ChildProcessError):  # no child, running or exited
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)

@@ -2,7 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
+import threading
+import time
 
 import pytest
 
@@ -12,10 +15,27 @@ from covloop.errors import (
     CompileError,
     ContractViolation,
     MissingToolchain,
+    SpawnError,
     ToolInvocationError,
 )
 from covloop.evaluator import parse_gcov
 from covloop.model import BranchGap, Language, TestCase
+
+
+@pytest.fixture(autouse=True)
+def close_targets(monkeypatch):
+    """Close every target a test prepares, which stops its test server."""
+    prepared = []
+    prepare = harness.prepare_target
+
+    def recording_prepare(*args, **kwargs):
+        prepared.append(prepare(*args, **kwargs))
+        return prepared[-1]
+
+    monkeypatch.setattr(harness, "prepare_target", recording_prepare)
+    yield
+    for target in prepared:
+        target.close()
 
 
 def prepare_c(tmp_path, source=ECHO_C, name="prog.c"):
@@ -132,6 +152,28 @@ class TestPrepareTarget:
             prepare_c(tmp_path)
         assert not (tmp_path / "work").exists()
 
+    def test_shim_is_compiled_once_across_threads(self, monkeypatch):
+        compiles = []
+        real_run = subprocess.run
+
+        def recording_run(cmd, *args, **kwargs):
+            if any(str(arg).endswith("_forksrv.c") for arg in cmd):
+                compiles.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(harness.subprocess, "run", recording_run)
+        harness._compile_shim.cache_clear()
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(harness._shim_object()))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(compiles) == 1
+        assert len(results) == 4 and len(set(results)) == 1
+
     def test_manifest_records_tools_and_flags(self, tmp_path):
         target = prepare_c(tmp_path)
         manifest = json.loads((target.workdir / "manifest.json").read_text())
@@ -202,6 +244,169 @@ class TestRunTest:
         harness.run_test(target, TestCase(("go",)), timeout=10.0)
         assert 4 in pytrace.load_store(target.data_store)["lines"]
         assert len(target.data_store.read_text().splitlines()) == 2
+
+
+# Forks a child that would sleep for a minute, prints its pid, then spins.
+FORK_A_SLEEPER_C = """\
+#include <stdio.h>
+#include <unistd.h>
+
+int main(void) {
+    pid_t pid = fork();
+    if (pid == 0) {
+        sleep(60);
+        return 0;
+    }
+    printf("%d\\n", (int)pid);
+    fflush(stdout);
+    for (;;);
+}
+"""
+
+# Defines `read` and `write`, which a static link binds in place of libc's.
+OWN_READ_AND_WRITE_C = """\
+#include <stdio.h>
+
+static int last;
+
+int read(void) {
+    if (scanf("%d", &last) != 1)
+        last = 0;
+    return last;
+}
+
+void write(int value) {
+    printf("%d\\n", value);
+}
+
+int main(void) {
+    int x = read();
+    if (x > 3)
+        write(x * 2);
+    else
+        write(-x);
+    return 0;
+}
+"""
+
+PRINT_PIDS_C = """\
+#include <stdio.h>
+#include <unistd.h>
+
+int main(void) {
+    printf("%d %d\\n", (int)getpid(), (int)getppid());
+    return 0;
+}
+"""
+
+KILL_PARENT_ON_NEGATIVE_C = """\
+#include <signal.h>
+#include <stdio.h>
+#include <unistd.h>
+
+int main(void) {
+    int x = 0;
+    scanf("%d", &x);
+    if (x < 0) {
+        kill(getppid(), SIGKILL);
+        pause();
+    }
+    printf("%d\\n", x);
+    return 0;
+}
+"""
+
+
+def process_state(pid):
+    """The state letter of /proc/<pid>/stat, or None once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+class TestTestServer:
+    def test_timeout_kills_the_whole_test(self, tmp_path):
+        target = prepare_c(tmp_path, FORK_A_SLEEPER_C, "forks.c")
+        outcome = harness.run_test(target, TestCase(("1",)), timeout=1.0)
+        assert outcome.timed_out
+        grandchild = int(outcome.stdout_bytes)
+        try:
+            # A killed orphan may stay a zombie until init reaps it.
+            deadline = time.monotonic() + 5.0
+            while process_state(grandchild) not in (None, "Z") and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert process_state(grandchild) in (None, "Z")
+        finally:
+            if process_state(grandchild) not in (None, "Z"):
+                os.kill(grandchild, 9)
+
+    def test_target_defining_read_and_write_matches_a_plain_build(self, tmp_path):
+        target = prepare_c(tmp_path, OWN_READ_AND_WRITE_C, "rw.c")
+        plain = harness.PreparedTarget(Language.C, tmp_path / "plain", tmp_path / "plain",
+                                       source_name="rw.c")
+        plain.build_dir.mkdir(parents=True)
+        (plain.build_dir / "rw.c").write_text(OWN_READ_AND_WRITE_C)
+        for cmd in (["gcc", *harness.GCC_COVERAGE_FLAGS, "-c", "rw.c", "-o", "rw.o"],
+                    ["gcc", "-fprofile-arcs", "rw.o", "-o", "plain"]):
+            subprocess.run(cmd, cwd=plain.build_dir, check=True)
+        for value, expected in (("5", b"10\n"), ("1", b"-1\n")):
+            outcome = harness.run_test(target, TestCase((value,)), timeout=5.0)
+            direct = subprocess.run(["./plain"], input=f"{value}\n".encode(),
+                                    cwd=plain.build_dir, capture_output=True, check=True)
+            assert outcome.stdout_bytes == direct.stdout == expected
+        served = harness.collect_raw_coverage(target)
+        assert served["lines"] == harness.collect_raw_coverage(plain)["lines"]
+        assert parse_gcov(served).missing_lines == frozenset({7})  # scanf never failed
+
+    @pytest.mark.parametrize("name, source", [
+        ("pids.c", PRINT_PIDS_C),
+        ("pids.py", "import os\nprint(os.getpid(), os.getppid())\n"),
+    ], ids=["c", "python"])
+    def test_tests_fork_from_one_server(self, tmp_path, name, source):
+        prepare = prepare_c if name.endswith(".c") else prepare_py
+        target = prepare(tmp_path, source, name)
+        pids = [harness.run_test(target, TestCase(("1",)), timeout=10.0).stdout_bytes.split()
+                for _ in range(3)]
+        assert len({pid for pid, _ in pids}) == 3
+        assert len({parent for _, parent in pids}) == 1
+        assert int(pids[0][1]) != os.getpid()
+
+    def test_only_tests_write_coverage_data(self, tmp_path):
+        # Neither the server nor its idle child may run gcov's exit handler,
+        # which would count a run.
+        target = prepare_c(tmp_path)
+        for value in ("1", "2"):
+            harness.run_test(target, TestCase((value,)), timeout=5.0)
+        target.close()
+        report = subprocess.run(["gcov", "--stdout", "prog.c"], cwd=target.build_dir,
+                                capture_output=True, text=True, check=True).stdout
+        assert re.search(r"Runs:(\d+)", report).group(1) == "2"
+
+    def test_python_test_exits_like_the_interpreter(self, tmp_path):
+        source = ("import atexit, sys\n"
+                  "atexit.register(print, 'at exit')\n"
+                  "print('body', end=' ')\n"
+                  "sys.exit(3)\n")
+        target = prepare_py(tmp_path, source)
+        outcome = harness.run_test(target, TestCase(("1",)), timeout=10.0)
+        assert outcome.exit_status == 3
+        assert outcome.stdout_bytes == b"body at exit\n"
+
+    def test_a_test_that_kills_its_server_raises_and_the_next_one_runs(self, tmp_path):
+        target = prepare_c(tmp_path, KILL_PARENT_ON_NEGATIVE_C, "killer.c")
+        with pytest.raises(SpawnError, match="test server for .*target exited"):
+            harness.run_test(target, TestCase(("-1",)), timeout=5.0)
+        assert harness.run_test(target, TestCase(("4",)), timeout=5.0).stdout_bytes == b"4\n"
+
+    def test_stdio_starts_empty_for_each_test(self, tmp_path):
+        source = "import sys\ndata = sys.stdin.read()\nprint(len(data), file=sys.stderr)\nprint(data)\n"
+        target = prepare_py(tmp_path, source)
+        long = harness.run_test(target, TestCase(("x" * 1000,)), timeout=10.0)
+        short = harness.run_test(target, TestCase(("y",)), timeout=10.0)
+        assert (long.stdout_bytes, long.stderr_bytes) == (b"x" * 1000 + b"\n\n", b"1001\n")
+        assert (short.stdout_bytes, short.stderr_bytes) == (b"y\n\n", b"2\n")
 
 
 class TestCollectRawCoverage:

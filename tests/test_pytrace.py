@@ -7,10 +7,10 @@ import sys
 import pytest
 
 from conftest import require_interpreter
-from covloop import _covtrace, pytrace
+from covloop import _covtrace, harness, pytrace
 from covloop.errors import ParseError
 from covloop.evaluator import parse_gcov
-from covloop.model import BranchGap
+from covloop.model import BranchGap, Language, TestCase
 
 BRANCHY = """\
 def classify(n):
@@ -244,7 +244,16 @@ def test_same_store_on_every_interpreter(tmp_path, minor):
             proc, store = run_tracer(workdir, LOOPS, stdin, python=interpreter)
             assert proc.returncode == 0, proc.stderr
         stores.append(pytrace.load_store(store))
-    assert stores[1] == stores[0]
+    # The same fixture through the tracer's server mode, on that interpreter.
+    script = tmp_path / "loops.py"
+    script.write_text(LOOPS)
+    with harness.prepare_target(script, Language.PYTHON, tmp_path / "served") as target:
+        target.test_argv = (python, *target.test_argv[1:])
+        for value in ("0", "3"):
+            outcome = harness.run_test(target, TestCase((value,)), timeout=30.0)
+            assert outcome.exit_status == 0, outcome.stderr_bytes
+    stores.append(pytrace.load_store(target.data_store))
+    assert stores[2] == stores[1] == stores[0]
 
 
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
