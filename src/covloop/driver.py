@@ -19,8 +19,9 @@ Only newly added cases are executed each iteration: instrumentation counters
 accumulate, so re-running the whole suite would change nothing except cost.
 An iteration that executes no case reuses the previous coverage report
 instead of collecting coverage again, since only a test can change it. The
-analysts do not run after the last iteration, because no later prompt would
-read their output.
+all-zero report of a target no test has run yet is collected only when an
+iteration or the result needs it. The analysts do not run after the last
+iteration, because no later prompt would read their output.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _iterate(
     line_fb: FeedbackRefinement | None = None
     branch_fb: FeedbackRefinement | None = None
     records: list[IterationRecord] = []
-    report = _evaluate(target)
+    report: CoverageReport | None = None  # collected when first needed
     termination = Termination.K_MAX_REACHED
     executed = 0
     sent_prompts: set[str] = set()
@@ -145,7 +146,7 @@ def _iterate(
             elif outcome.exit_status:
                 log.info("iteration %d: test exited with %s", k, outcome.exit_status)
 
-        if novel:
+        if novel or report is None:
             report = _evaluate(target)
         evaluator.emit_artifact(report, target.coverage_dir / f"iter_{k}.json")
         records.append(
@@ -180,7 +181,7 @@ def _iterate(
             break
 
     return RunResult(
-        final_report=report,
+        final_report=report if report is not None else _evaluate(target),
         iterations=records,
         termination=termination,
         total_duration=time.monotonic() - started,

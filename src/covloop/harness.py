@@ -6,21 +6,23 @@ Each run owns a workdir with a fixed layout:
     coverage/      iter_<k>.json coverage artifacts; trace.jsonl, the Python trace store
     TestCases/     persisted novel test inputs
     prompts/       iter_<k>.txt, the generation prompt of each iteration
-    manifest.json  tool versions and flags used, for reproducibility
+    manifest.json  tool versions, flags and linker used, for reproducibility
     result.json    written by the loop driver when the run ends
 
 Preparing a target removes these entries, and only these, so a reused
 workdir shows only the last run. A workdir that holds any of them without a
 manifest.json written by covloop is refused, so `.` keeps its own `build/`.
 
-C targets are compiled with gcc profile instrumentation and read back through
-`gcov -b --json-format --stdout`, so gcov must accept those flags (GCC 9 or
-later, tested with GCC 12.2); no `.gcov` file is written. Python targets run
-under the bundled tracer, which appends one record per test to the trace
-store, and `pytrace` turns the store into the same gcov JSON file entry, so
-both lanes report one raw coverage format. Coverage accumulates across runs
-of one prepared target and is never reset within a run, so reported
-coverage is monotone over the loop.
+C targets are built by one gcc process, which compiles with profile
+instrumentation and `-pipe`, and links with gold when gcc can, with its
+default linker otherwise. Coverage is read back through `gcov -b
+--json-format --stdout`, so gcov must accept those flags (GCC 9 or later,
+tested with GCC 12.2); no `.gcov` file is written. Python targets run under
+the bundled tracer, which appends one record per test to the trace store,
+and `pytrace` turns the store into the same gcov JSON file entry, so both
+lanes report one raw coverage format. Coverage accumulates across runs of
+one prepared target and is never reset within a run, so reported coverage
+is monotone over the loop.
 
 Tests run through one test server per target, started by its first test
 and stopped by `PreparedTarget.close()`. The server is the target itself,
@@ -140,6 +142,23 @@ def _accepts_gcov_flags(gcov: str) -> bool:
         return False
 
 
+@functools.cache
+def _links_with_gold() -> bool:
+    """Whether gcc can link with gold, which links a target faster than the
+    default linker. Gold is deprecated upstream, so it may be missing or
+    broken; then targets are linked with gcc's default linker."""
+    try:
+        return subprocess.run(["gcc", "-fuse-ld=gold", "-Wl,--version"], capture_output=True,
+                              timeout=10).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+def _build_flags() -> list[str]:
+    """The flags of the one gcc process that builds a C target."""
+    return [*GCC_COVERAGE_FLAGS, "-pipe", *(["-fuse-ld=gold"] if _links_with_gold() else [])]
+
+
 def prepare_target(
     source_path: str | Path, language: Language, workdir: str | Path
 ) -> PreparedTarget:
@@ -197,25 +216,20 @@ def _is_covloop_manifest(path: Path) -> bool:
 
 
 def _compile_c(target: PreparedTarget, local_source: Path) -> None:
-    stem = local_source.stem
-    object_file = target.build_dir / f"{stem}.o"
     binary = target.build_dir / "target"
-    # Compile and link separately so the .gcno/.gcda names track the source
-    # file instead of being prefixed with the binary name.
     shim = target.build_dir / "_forksrv.o"
     shim.write_bytes(_shim_object())
-    compile_cmd = ["gcc", *GCC_COVERAGE_FLAGS, "-c", local_source.name,
-                   "-o", object_file.name]
-    # The shim comes last, so its constructor runs after the target's own.
-    link_cmd = ["gcc", "-fprofile-arcs", object_file.name, shim.name, "-o", binary.name]
-    for cmd in (compile_cmd, link_cmd):
-        proc = subprocess.run(
-            cmd, cwd=target.build_dir, capture_output=True, text=True
+    # One gcc process compiles and links. `-dumpdir ./` names the note file
+    # `<stem>.gcno` after the source, not after the binary, and the .gcda path
+    # compiled into the target stays absolute. The shim comes last, so its
+    # constructor runs after the target's own.
+    cmd = ["gcc", *_build_flags(), "-dumpdir", "./", local_source.name, shim.name,
+           "-o", binary.name]
+    proc = subprocess.run(cmd, cwd=target.build_dir, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise CompileError(
+            f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}"
         )
-        if proc.returncode != 0:
-            raise CompileError(
-                f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}"
-            )
     target.executable_or_script = binary
 
 
@@ -252,7 +266,8 @@ def _write_manifest(target: PreparedTarget) -> None:
     if target.language is Language.C:
         manifest["gcc"] = _tool_version("gcc")
         manifest["gcov"] = _tool_version("gcov")
-        manifest["compile_flags"] = GCC_COVERAGE_FLAGS
+        manifest["build_flags"] = _build_flags()
+        manifest["linker"] = "gold" if _links_with_gold() else "default"
         manifest["gcov_flags"] = GCOV_FLAGS
     (target.workdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"

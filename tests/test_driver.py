@@ -84,7 +84,7 @@ class TestTermination:
         backend = ConstantPayloadBackend([["1"], ["2"]])
         result = run_loop(make_config(tmp_path, k_max=4), guard_c, backend=backend)
         assert [r.novel_tests for r in result.iterations] == [2, 0]
-        assert len(collected) == 2  # before the loop, and after iteration 0
+        assert len(collected) == 1  # after iteration 0 only
         artifacts = [result.workdir / "coverage" / f"iter_{k}.json" for k in range(2)]
         assert len({a.read_text() for a in artifacts}) == 1
 
@@ -150,6 +150,24 @@ class TestBackendFailure:
         assert result.termination is Termination.BACKEND_FAILURE
         assert len(result.iterations) == 1
         assert result.final_report.line_coverage > 0
+
+    @pytest.mark.parametrize("fixture, lines", [
+        ("guard_c", {3, 4, 5, 6, 7, 9, 11}),
+        ("guard_py", {1, 2, 3, 5}),
+    ])
+    def test_failure_before_any_test_reports_zero_coverage_of_the_source(
+            self, tmp_path, request, fixture, lines):
+        class FailsAtOnce(StubBackend):
+            def raw_complete(self, prompt, schema_id):
+                raise MalformedResponse("model went away", attempts=3)
+
+        source = request.getfixturevalue(fixture)
+        result = run_loop(make_config(tmp_path), source, backend=FailsAtOnce())
+        assert result.termination is Termination.BACKEND_FAILURE
+        assert result.iterations == []
+        report = result.final_report
+        assert (report.executed_lines, report.missing_lines) == (frozenset(), lines)
+        assert (report.taken_branches, report.total_branches) == (0, 2)
 
 
 class TestLoopAccounting:

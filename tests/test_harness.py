@@ -9,7 +9,14 @@ import time
 
 import pytest
 
-from conftest import CRASH_ON_NEGATIVE_C, ECHO_C, SPIN_FOREVER_C
+from conftest import (
+    CRASH_ON_NEGATIVE_C,
+    ECHO_C,
+    GUARD_C,
+    NESTED_GUARDS_C,
+    SPIN_FOREVER_C,
+    UNREACHABLE_ARM_C,
+)
 from covloop import harness, pytrace
 from covloop.errors import (
     CompileError,
@@ -38,10 +45,20 @@ def close_targets(monkeypatch):
         target.close()
 
 
-def prepare_c(tmp_path, source=ECHO_C, name="prog.c"):
+def prepare_c(tmp_path, source=ECHO_C, name="prog.c", work="work"):
     source_path = tmp_path / name
     source_path.write_text(source)
-    return harness.prepare_target(source_path, Language.C, tmp_path / "work")
+    return harness.prepare_target(source_path, Language.C, tmp_path / work)
+
+
+@pytest.fixture(params=["gold", "default"])
+def linker(request, monkeypatch):
+    """Each linker a C target can be built with: gold, or gcc's default."""
+    if request.param == "default":
+        monkeypatch.setattr(harness, "_links_with_gold", lambda: False)
+    elif not harness._links_with_gold():
+        pytest.skip("gcc cannot link with gold here")
+    return request.param
 
 
 def prepare_py(tmp_path, source, name="prog.py"):
@@ -174,13 +191,49 @@ class TestPrepareTarget:
         assert len(compiles) == 1
         assert len(results) == 4 and len(set(results)) == 1
 
-    def test_manifest_records_tools_and_flags(self, tmp_path):
+    def test_manifest_records_tools_and_flags(self, tmp_path, monkeypatch):
+        linkers = ["gold"] if harness._links_with_gold() else []
+        for linker in (*linkers, "default"):
+            if linker == "default":
+                monkeypatch.setattr(harness, "_links_with_gold", lambda: False)
+            target = prepare_c(tmp_path, work=linker)
+            manifest = json.loads((target.workdir / "manifest.json").read_text())
+            assert manifest["language"] == "c"
+            assert {"-ftest-coverage", "-pipe"} <= set(manifest["build_flags"])
+            assert manifest["linker"] == linker
+            assert ("-fuse-ld=gold" in manifest["build_flags"]) == (linker == "gold")
+            gold_note = b".note.gnu.gold-version" in target.executable_or_script.read_bytes()
+            assert gold_note == (linker == "gold")
+            assert "-b" in manifest["gcov_flags"]
+            assert manifest["gcc"] != ""
+
+    def test_gold_is_probed_once_per_process(self, tmp_path, monkeypatch):
+        prepare_c(tmp_path)
+        spawned = []
+        real_run = subprocess.run
+
+        def recording_run(cmd, *args, **kwargs):
+            spawned.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(harness.subprocess, "run", recording_run)
+        prepare_c(tmp_path)
+        assert [cmd for cmd in spawned if "-Wl,--version" in cmd] == []
+
+    def test_one_gcc_process_builds_a_target(self, tmp_path, monkeypatch, linker):
+        prepare_c(tmp_path)  # compiles the shim and runs the probes
+        spawned = []
+        real_run = subprocess.run
+
+        def recording_run(cmd, *args, **kwargs):
+            spawned.append(cmd)
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(harness.subprocess, "run", recording_run)
         target = prepare_c(tmp_path)
-        manifest = json.loads((target.workdir / "manifest.json").read_text())
-        assert manifest["language"] == "c"
-        assert "-ftest-coverage" in manifest["compile_flags"]
-        assert "-b" in manifest["gcov_flags"]
-        assert manifest["gcc"] != ""
+        assert [cmd[0] for cmd in spawned] == ["gcc"]
+        assert sorted(p.name for p in target.build_dir.iterdir()) == [
+            "_forksrv.o", "prog.c", "prog.gcno", "target"]
 
 
 class TestRunTest:
@@ -507,3 +560,82 @@ class TestCollectRawCoverage:
             harness.collect_raw_coverage(target)
         assert list(elsewhere.iterdir()) == []
 
+
+
+# Records the process its constructor ran in; main tells whether that was
+# its own process or the test server it was forked from.
+OWN_CONSTRUCTOR_C = """\
+#include <stdio.h>
+#include <unistd.h>
+
+static pid_t constructed_in;
+
+__attribute__((constructor)) static void construct(void) {
+    constructed_in = getpid();
+}
+
+int main(void) {
+    if (constructed_in != getpid())
+        printf("inherited\\n");
+    else
+        printf("own\\n");
+    return 0;
+}
+"""
+
+# Leaves the build directory, for one read from stdin, before it exits.
+CHDIR_C = """\
+#include <stdio.h>
+#include <unistd.h>
+
+int main(void) {
+    char dir[4096];
+    if (scanf("%4095s", dir) != 1 || chdir(dir) != 0)
+        return 1;
+    printf("moved\\n");
+    return 0;
+}
+"""
+
+# Inputs for the conftest C fixtures; each reads as many values as it needs.
+FIXTURE_CASES = (("42", "809", "911"), ("-1", "0", "0"), ("701", "1", "2"), ("5", "5", "5"))
+
+
+class TestBuild:
+    def test_target_constructor_runs_before_the_shim_takes_over(self, tmp_path, linker):
+        # The target's constructor runs once, in the server, like the
+        # constructors of libc and gcov; each test inherits its effect.
+        target = prepare_c(tmp_path, OWN_CONSTRUCTOR_C, "ctor.c")
+        for _ in range(2):
+            outcome = harness.run_test(target, TestCase(("1",)), timeout=5.0)
+            assert (outcome.exit_status, outcome.stdout_bytes) == (0, b"inherited\n")
+        report = parse_gcov(harness.collect_raw_coverage(target))
+        assert report.executed_lines == frozenset({6, 7, 8, 10, 11, 12, 15})
+        assert report.missing_lines == frozenset({14})
+
+    def test_coverage_data_lands_in_build_after_chdir(self, tmp_path, linker):
+        target = prepare_c(tmp_path, CHDIR_C, "moves.c")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        outcome = harness.run_test(target, TestCase((str(elsewhere),)), timeout=5.0)
+        assert (outcome.exit_status, outcome.stdout_bytes) == (0, b"moved\n")
+        assert (target.build_dir / "moves.gcda").is_file()
+        assert list(elsewhere.iterdir()) == []
+        assert parse_gcov(harness.collect_raw_coverage(target)).missing_lines == frozenset({7})
+
+    @pytest.mark.parametrize("source", [
+        GUARD_C, NESTED_GUARDS_C, ECHO_C, UNREACHABLE_ARM_C, CRASH_ON_NEGATIVE_C,
+    ], ids=["guard", "nested_guards", "echo", "unreachable_arm", "crash_on_negative"])
+    def test_gold_and_the_default_linker_give_the_same_report(self, tmp_path, monkeypatch,
+                                                              source):
+        if not harness._links_with_gold():
+            pytest.skip("gcc cannot link with gold here")
+        entries = []
+        for gold in (True, False):
+            monkeypatch.setattr(harness, "_links_with_gold", lambda gold=gold: gold)
+            target = prepare_c(tmp_path, source, work=f"gold_{gold}")
+            for case in FIXTURE_CASES:
+                harness.run_test(target, TestCase(case), timeout=5.0)
+            entries.append(harness.collect_raw_coverage(target))
+        assert entries[0] == entries[1]
+        assert parse_gcov(entries[0]).executed_lines
