@@ -2,8 +2,8 @@
 
 Each run owns a workdir with a fixed layout:
 
-    build/         compiled binary, or copied script and tracer; instrumentation
-    coverage/      iter_<k>.json coverage artifacts; trace.jsonl, the Python trace store
+    build/         compiled binary, or copied script and prober; instrumentation
+    coverage/      iter_<k>.json coverage artifacts; hits, the Python probes' hits file
     TestCases/     persisted novel test inputs
     prompts/       iter_<k>.txt, the generation prompt of each iteration
     manifest.json  tool versions, flags and linker used, for reproducibility
@@ -17,22 +17,22 @@ C targets are built by one gcc process, which compiles with profile
 instrumentation and `-pipe`, and links with gold when gcc can, with its
 default linker otherwise. Coverage is read back through `gcov -b
 --json-format --stdout`, so gcov must accept those flags (GCC 9 or later,
-tested with GCC 12.2); no `.gcov` file is written. Python targets run under
-the bundled tracer, which appends one record per test to the trace store,
-and `pytrace` turns the store into the same gcov JSON file entry, so both
-lanes report one raw coverage format. Coverage accumulates across runs of
-one prepared target and is never reset within a run, so reported coverage
-is monotone over the loop.
+tested with GCC 12.2); no `.gcov` file is written. Python targets run with
+probes compiled in by the bundled `_covtrace.py`, one byte of the hits file
+per statement and per if/while/for arm, which a test sets as it runs, and
+`pytrace` turns the hits into the same gcov JSON file entry, so both lanes
+report one raw coverage format. Coverage accumulates across runs of one
+prepared target and is never reset within a run, so reported coverage is
+monotone over the loop.
 
 Tests run through one test server per target, started by its first test
 and stopped by `PreparedTarget.close()`. The server is the target itself,
 started once: a C binary, whose linked-in `_forksrv.c` shim takes over
-before `main`, or the Python tracer. It forks one child per test, so a test
-pays for a fork instead of an exec, the dynamic loader and the start-up of
-libc or the interpreter. Both lanes speak the protocol of `testserver`, so
-running a test does not depend on the language. Tests of one target run one
-at a time, so the Python trace store has a single writer. The servers need
-Linux 5.3 or later.
+before `main`, or `_covtrace.py`, which probes and compiles the script
+once. It forks one child per test, so a test pays for a fork instead of an
+exec, the dynamic loader and the start-up of libc or the interpreter. Both
+lanes speak the protocol of `testserver`, so running a test does not depend
+on the language. The servers need Linux 5.3 or later.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .testserver import TestServer
 
 GCC_COVERAGE_FLAGS = ["-fprofile-arcs", "-ftest-coverage", "-O0"]
 GCOV_FLAGS = ["-b", "--json-format", "--stdout"]  # without -b: no branches
-_TRACER_NAME = "_covtrace.py"
+_PROBER_NAME = "_covtrace.py"
 _SHIM_NAME = "_forksrv.c"
 
 
@@ -110,7 +110,7 @@ class PreparedTarget:
 
     @property
     def data_store(self) -> Path:
-        return self.coverage_dir / "trace.jsonl"
+        return self.coverage_dir / "hits"
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,9 @@ def prepare_target(
         target.test_argv = (str(target.executable_or_script),)
     else:
         target.executable_or_script = local_source
-        tracer = target.build_dir / _TRACER_NAME
-        shutil.copyfile(Path(__file__).with_name(_TRACER_NAME), tracer)
-        target.test_argv = (sys.executable, str(tracer), str(target.data_store),
+        prober = target.build_dir / _PROBER_NAME
+        shutil.copyfile(Path(__file__).with_name(_PROBER_NAME), prober)
+        target.test_argv = (sys.executable, str(prober), str(target.data_store),
                             str(local_source))
     return target
 
@@ -294,9 +294,7 @@ def run_test(
     group is killed and the outcome records timed_out=True. Crashes are
     recorded through exit_status and execution continues. The first test of
     a target starts its test server, which `target.close()` stops. Run one
-    test of a target at a time: a server runs one test at a time, and a
-    Python test's tracer appends to the trace store, which has a single
-    writer.
+    test of a target at a time: a server runs one test at a time.
     """
     start = time.monotonic()
     if target._server is None:
@@ -307,11 +305,6 @@ def run_test(
     except SpawnError:
         target.close()
         raise
-    if exit_status is None and target.data_store.exists():  # only Python targets have a store
-        # A tracer killed mid-write leaves a cut-off record; drop it so the
-        # next test's record starts on a line of its own.
-        with open(target.data_store, "rb+") as store:
-            store.truncate(store.read().rfind(b"\n") + 1)
     return ExecutionOutcome(
         exit_status=exit_status,
         timed_out=exit_status is None,
@@ -323,7 +316,7 @@ def run_test(
 
 def collect_raw_coverage(target: PreparedTarget) -> dict:
     """Cumulative raw coverage as a gcov JSON file entry for the source: from
-    gcov in C, from the trace store through `pytrace.build_export` in Python.
+    gcov in C, from the hits file through `pytrace.build_export` in Python.
 
     With no runs recorded yet this still succeeds, reporting all-zero
     counters.
@@ -331,8 +324,7 @@ def collect_raw_coverage(target: PreparedTarget) -> dict:
     if target.language is Language.C:
         return _collect_gcov(target)
     source = target.executable_or_script.read_text(encoding="utf-8")
-    store = pytrace.load_store(target.data_store)
-    return pytrace.build_export(source, store)
+    return pytrace.build_export(source, target.data_store)
 
 
 def _collect_gcov(target: PreparedTarget) -> dict:

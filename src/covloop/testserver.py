@@ -2,7 +2,7 @@
 
 A test server is a target's test command started once, with SERVER_ENV set
 to "<control fd>,<status fd>": a C binary, whose linked-in `_forksrv.c`
-shim takes over before `main`, or the Python tracer, `_covtrace.py`. It
+shim takes over before `main`, or the Python prober, `_covtrace.py`. It
 serves until its control pipe closes:
 
 - Pre-fork. As soon as the previous test is answered, the server forks the
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .errors import SpawnError
 
-SERVER_ENV = "COVLOOP_FORKSRV"  # read by the C shim and the Python tracer
+SERVER_ENV = "COVLOOP_FORKSRV"  # read by the C shim and the Python prober
 SERVER_GRACE = 5.0  # seconds a test server may take beyond a test's timeout
 
 

@@ -118,6 +118,147 @@ int main(void) {
 """
 
 
+# C/Python twins for the cross-lane oracle: name -> (ints read from stdin,
+# C source, Python source). Each pair has its branch statements in the same
+# order, so their sites match by statement order. Conditions are simple
+# comparisons: `&&` and `||` add gcov arms of their own.
+TWINS = {
+    "if_else": (1, """\
+#include <stdio.h>
+
+int main(void) {
+    int x = 0;
+    scanf("%d", &x);
+    if (x > 2) {
+        printf("big\\n");
+    } else {
+        printf("small\\n");
+    }
+    return 0;
+}
+""", """\
+x = int(input())
+if x > 2:
+    print("big")
+else:
+    print("small")
+"""),
+    "if_without_else": (1, """\
+#include <stdio.h>
+
+int main(void) {
+    int x = 0;
+    scanf("%d", &x);
+    if (x == 3) {
+        x = 0;
+    }
+    printf("%d\\n", x);
+    return 0;
+}
+""", """\
+x = int(input())
+if x == 3:
+    x = 0
+print(x)
+"""),
+    "elif_chain": (1, """\
+#include <stdio.h>
+
+int main(void) {
+    int x = 0;
+    scanf("%d", &x);
+    if (x < 0) {
+        printf("neg\\n");
+    } else if (x == 0) {
+        printf("zero\\n");
+    } else {
+        printf("pos\\n");
+    }
+    return 0;
+}
+""", """\
+x = int(input())
+if x < 0:
+    print("neg")
+elif x == 0:
+    print("zero")
+else:
+    print("pos")
+"""),
+    "while_break": (1, """\
+#include <stdio.h>
+
+int main(void) {
+    int x = 0;
+    scanf("%d", &x);
+    while (x > 0) {
+        if (x == 3) {
+            break;
+        }
+        x = x - 1;
+    }
+    printf("%d\\n", x);
+    return 0;
+}
+""", """\
+x = int(input())
+while x > 0:
+    if x == 3:
+        break
+    x = x - 1
+print(x)
+"""),
+    "for_range": (1, """\
+#include <stdio.h>
+
+int main(void) {
+    int n = 0, i = 0, s = 0;
+    scanf("%d", &n);
+    for (i = 0; i < n; i++) {
+        s = s + i;
+    }
+    printf("%d\\n", s);
+    return 0;
+}
+""", """\
+n = int(input())
+s = 0
+for i in range(n):
+    s = s + i
+print(s)
+"""),
+    "nested_guards": (2, """\
+#include <stdio.h>
+
+int main(void) {
+    int a = 0, b = 0;
+    scanf("%d %d", &a, &b);
+    if (a > 0) {
+        if (b > 1) {
+            printf("both\\n");
+        }
+        a = b;
+    }
+    while (a > 2) {
+        a = a - 1;
+    }
+    printf("%d\\n", a);
+    return 0;
+}
+""", """\
+a = int(input())
+b = int(input())
+if a > 0:
+    if b > 1:
+        print("both")
+    a = b
+while a > 2:
+    a = a - 1
+print(a)
+"""),
+}
+
+
 @pytest.fixture
 def guard_c(tmp_path):
     path = tmp_path / "guard.c"

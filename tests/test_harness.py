@@ -17,7 +17,7 @@ from conftest import (
     SPIN_FOREVER_C,
     UNREACHABLE_ARM_C,
 )
-from covloop import harness, pytrace
+from covloop import harness
 from covloop.errors import (
     CompileError,
     ContractViolation,
@@ -288,15 +288,16 @@ class TestRunTest:
         assert outcome.stdout_bytes.strip() == b"42"
         assert target.data_store.exists()
 
-    def test_python_timeout_drops_a_cut_off_record(self, tmp_path):
+    def test_python_timeout_keeps_the_lines_it_reached(self, tmp_path):
         source = "if input() == 'spin':\n    while True:\n        pass\nprint('done')\n"
         target = prepare_py(tmp_path, source)
-        target.data_store.write_text(
-            '{"lines": [1], "arcs": [], "exits": []}\n{"lines": [1, 2], "ar')
         assert harness.run_test(target, TestCase(("spin",)), timeout=1.0).timed_out
+        report = parse_gcov(harness.collect_raw_coverage(target))
+        assert report.executed_lines == frozenset({1, 2, 3})
+        assert report.missing_branches == (BranchGap(line=1, branch_id=1),)
         harness.run_test(target, TestCase(("go",)), timeout=10.0)
-        assert 4 in pytrace.load_store(target.data_store)["lines"]
-        assert len(target.data_store.read_text().splitlines()) == 2
+        report = parse_gcov(harness.collect_raw_coverage(target))
+        assert report.missing_lines == frozenset()
 
 
 # Forks a child that would sleep for a minute, prints its pid, then spins.

@@ -1,6 +1,8 @@
-"""Tests for the Python lane: static analysis, gcov entry, trace store, tracer."""
+"""Tests for the Python lane: probe table, gcov entry, hits file, prober."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -24,8 +26,8 @@ while x > 0:
 print(classify(x))
 """
 
-# Conditions and a for's iterable that span lines: the `if (` and `):` lines
-# fire no trace event, and the arcs into each body leave from a later line.
+# Conditions and a for's iterable that span lines: each header is one
+# statement, measured on its first line.
 MULTILINE = """\
 x = int(input())
 y = int(input())
@@ -45,176 +47,237 @@ for i in range(
 print("done")
 """
 
+# Every statement that can run, runs; the rest can never run.
+NEVER_RUNS = """\
+x = 0
+def f():
+    global x
+    x = 1
+    return x
+    x = 2
+f()
+if False:
+    x = 3
+while True:
+    break
+else:
+    x = 4
+"""
+
+
+def statement_lines(source):
+    return {line for line, arm in _covtrace.instrument(ast.parse(source)) if arm is None}
+
+
+def arms(source):
+    return [(line, arm) for line, arm in _covtrace.instrument(ast.parse(source))
+            if arm is not None]
+
 
 class TestStaticAnalysis:
     def test_executable_lines(self):
-        lines = pytrace.executable_lines(BRANCHY)
-        assert lines == {1, 2, 3, 4, 6, 7, 8, 9}
+        assert statement_lines(BRANCHY) == {1, 2, 3, 4, 6, 7, 8, 9}
 
     def test_branch_sites(self):
-        sites = pytrace.branch_sites(BRANCHY)
-        assert [(s.span, s.body_target, s.else_target) for s in sites] == [
-            (range(2, 3), 3, None),
-            (range(7, 8), 8, None),
-        ]
+        assert arms(BRANCHY) == [(2, 0), (2, 1), (7, 0), (7, 1)]
 
     def test_else_and_elif_targets(self):
         source = "if a:\n    x = 1\nelif b:\n    x = 2\nelse:\n    x = 3\n"
-        sites = pytrace.branch_sites(source)
-        assert [(s.span, s.body_target, s.else_target) for s in sites] == [
-            (range(1, 2), 2, 3),
-            (range(3, 4), 4, 6),
-        ]
+        assert arms(source) == [(1, 0), (1, 1), (3, 0), (3, 1)]
+        assert statement_lines(source) == {1, 2, 3, 4, 6}
 
     def test_constant_test_excluded(self):
-        assert pytrace.branch_sites("while True:\n    break\n") == []
+        assert arms("while True:\n    break\n") == []
+        assert arms("if 0:\n    x = 1\n") == []
 
-    def test_inline_body_excluded(self):
-        assert pytrace.branch_sites("if x: y = 1\n") == []
-        assert pytrace.branch_sites("if (x and\n        y): z = 1\n") == []
+    def test_inline_body_is_measured(self):
+        assert arms("if x: y = 1\n") == [(1, 0), (1, 1)]
+        assert arms("if (x and\n        y): z = 1\n") == [(1, 0), (1, 1)]
 
     def test_for_loop_is_a_site(self):
-        sites = pytrace.branch_sites("for i in range(3):\n    print(i)\n")
-        assert [(s.span, s.body_target) for s in sites] == [(range(1, 2), 2)]
+        assert arms("for i in range(3):\n    print(i)\n") == [(1, 0), (1, 1)]
 
-    def test_header_span_ends_with_the_condition(self):
-        sites = pytrace.branch_sites(MULTILINE)
-        assert [(s.span, s.body_target) for s in sites] == [
-            (range(3, 5), 5),
-            (range(6, 8), 9),
-            (range(10, 12), 12),
-            (range(13, 15), 15),
-        ]
+    def test_multiline_header_counts_on_its_first_line(self):
+        assert arms(MULTILINE) == [(line, arm) for line in (3, 6, 10, 13) for arm in (0, 1)]
+        assert statement_lines(MULTILINE) == {1, 2, 3, 5, 6, 9, 10, 12, 13, 15, 16}
+
+    def test_a_statement_counts_once_on_its_first_line(self):
+        source = ("import functools\n"
+                  "@functools.cache\n"
+                  "def f(x):\n"
+                  "    return (x +\n"
+                  "            1)\n"
+                  "try:\n"
+                  "    f(1)\n"
+                  "except ValueError:\n"
+                  "    pass\n")
+        assert statement_lines(source) == {1, 3, 4, 6, 7, 9}
+
+    def test_code_that_never_runs_gets_no_probe(self, tmp_path):
+        assert statement_lines(NEVER_RUNS) == {1, 2, 4, 5, 7, 8, 10, 11}
+        assert arms(NEVER_RUNS) == []
+        _, hits = run_prober(tmp_path, NEVER_RUNS)
+        assert report_of(NEVER_RUNS, hits).line_coverage == 100.0
 
 
-def report_of(source, store):
-    """The report the loop derives from a trace store: via the gcov JSON entry."""
-    return parse_gcov(pytrace.build_export(source, store))
+def report_of(source, hits):
+    """The report the loop derives from a hits file: via the gcov JSON entry."""
+    return parse_gcov(pytrace.build_export(source, hits))
 
 
 class TestBuildExport:
     def test_empty_store_reports_everything_missing(self, tmp_path):
-        report = report_of(BRANCHY, pytrace.load_store(tmp_path / "none.jsonl"))
+        report = report_of(BRANCHY, tmp_path / "none")
         assert report.executed_lines == frozenset()
         assert report.missing_lines == frozenset({1, 2, 3, 4, 6, 7, 8, 9})
         assert report.total_branches == 4
         assert report.taken_branches == 0
         assert len(report.missing_branches) == 4
 
-    def test_arcs_decide_branch_arms(self):
-        # Trace shape for input 2: loop entered and exited, if-false only.
-        store = {
-            "lines": {1, 2, 4, 6, 7, 8, 9},
-            "arcs": {(1, 6), (2, 4), (6, 7), (7, 8), (7, 9), (8, 7)},
-            "exits": {4, 9},
-        }
-        report = report_of(BRANCHY, store)
-        assert report.missing_lines == frozenset({3})
-        assert report.total_branches == 4
-        assert report.taken_branches == 3
-        assert report.missing_branches == (BranchGap(line=2, branch_id=0),)
-
-    def test_exit_detects_loop_falloff(self):
+    def test_exit_detects_loop_falloff(self, tmp_path):
         source = "for i in range(2):\n    print(i)\n"
-        store = {"lines": {1, 2}, "arcs": {(1, 2), (2, 1)}, "exits": {1}}
-        assert report_of(source, store).taken_branches == 2
+        _, hits = run_prober(tmp_path, source)
+        assert report_of(source, hits).taken_branches == 2
+        broken = "for i in range(2):\n    break\n"
+        _, hits = run_prober(tmp_path / "broken", broken)
+        assert report_of(broken, hits).missing_branches == (BranchGap(line=1, branch_id=1),)
 
-    def test_entry_is_a_gcov_file_entry(self):
+    def test_entry_is_a_gcov_file_entry(self, tmp_path):
         source = "x = int(input())\nif x:\n    x = 2\nprint(x)\n"
-        store = {"lines": {1, 2, 4}, "arcs": {(1, 2), (2, 4)}, "exits": {4}}
-        assert pytrace.build_export(source, store) == {"lines": [
+        _, hits = run_prober(tmp_path, source, stdin="0\n")
+        assert pytrace.build_export(source, hits) == {"lines": [
             {"line_number": 1, "count": 1, "branches": []},
             {"line_number": 2, "count": 1, "branches": [{"count": 0}, {"count": 1}]},
             {"line_number": 3, "count": 0, "branches": []},
             {"line_number": 4, "count": 1, "branches": []},
         ]}
 
-    def test_foreign_lines_ignored(self):
-        store = {"lines": {1, 999}, "arcs": set(), "exits": set()}
-        report = report_of("x = 1\n", store)
-        assert report.executed_lines == frozenset({1})
-        assert report.missing_lines == frozenset()
-
 
 class TestLoadStore:
-    def test_records_are_unioned(self, tmp_path):
-        store = tmp_path / "trace.jsonl"
-        store.write_text(
-            '{"lines": [1, 2], "arcs": [[1, 2]], "exits": [2]}\n'
-            '{"lines": [1, 3], "arcs": [[1, 3]], "exits": [3]}\n'
-        )
-        assert pytrace.load_store(store) == {
-            "lines": {1, 2, 3}, "arcs": {(1, 2), (1, 3)}, "exits": {2, 3},
-        }
-
-    def test_cut_off_last_record_skipped(self, tmp_path):
-        store = tmp_path / "trace.jsonl"
-        store.write_text('{"lines": [1], "arcs": [], "exits": [1]}\n{"lines": [1, 2')
-        assert pytrace.load_store(store)["lines"] == {1}
-
     def test_corrupt_record_raises_and_names_store(self, tmp_path):
-        store = tmp_path / "trace.jsonl"
-        for bad in ("{}\n", "not json\n", '{"lines": [[1]], "arcs": [], "exits": []}\n',
-                    '\n{"lines": [1], "arcs": [], "exits": []}\n'):
-            store.write_text(bad)
-            with pytest.raises(ParseError, match="trace.jsonl"):
-                pytrace.load_store(store)
+        # One byte per probe: a file of any other size was made for another source.
+        hits = tmp_path / "hits"
+        probes = len(_covtrace.instrument(ast.parse(BRANCHY)))
+        for size in (0, probes - 1, probes + 1):
+            hits.write_bytes(bytes(size))
+            with pytest.raises(ParseError, match=re.escape(str(hits))):
+                pytrace.load_store(hits, probes)
+            with pytest.raises(ParseError, match=re.escape(str(hits))):
+                pytrace.build_export(BRANCHY, hits)
+        hits.write_bytes(bytes([1] * probes))
+        assert pytrace.load_store(hits, probes) == bytes([1] * probes)
 
 
-def run_tracer(tmp_path, source, stdin="", args=(), python=sys.executable):
-    script = tmp_path / "t.py"
+def run_prober(directory, source, stdin="", args=(), python=sys.executable):
+    directory.mkdir(parents=True, exist_ok=True)
+    script = directory / "t.py"
     script.write_text(source)
-    store = tmp_path / "trace.jsonl"
+    hits = directory / "hits"
     proc = subprocess.run(
-        [python, _covtrace.__file__, str(store), str(script), *args],
+        [python, _covtrace.__file__, str(hits), str(script), *args],
         input=stdin.encode(),
         capture_output=True,
         timeout=30,
     )
-    return proc, store
+    return proc, hits
 
 
 class TestTracerShim:
-    def test_records_lines_and_arcs(self, tmp_path):
-        proc, store = run_tracer(tmp_path, BRANCHY, stdin="2\n")
+    """`_covtrace.py` run on its own, as `python _covtrace.py <hits> <script>`."""
+
+    def test_records_lines_and_arms(self, tmp_path):
+        proc, hits = run_prober(tmp_path, BRANCHY, stdin="2\n")
         assert proc.returncode == 0
-        data = pytrace.load_store(store)
-        assert 6 in data["lines"]
-        assert (7, 8) in data["arcs"]
+        report = report_of(BRANCHY, hits)
+        assert report.missing_lines == frozenset({3})
+        assert report.total_branches == 4
+        assert report.taken_branches == 3
+        assert report.missing_branches == (BranchGap(line=2, branch_id=0),)
 
     def test_append_merges_across_runs(self, tmp_path):
         source = "x = int(input())\nif x > 0:\n    print('pos')\nelse:\n    print('neg')\n"
-        _, store = run_tracer(tmp_path, source, stdin="1\n")
-        first = pytrace.load_store(store)["lines"]
-        run_tracer(tmp_path, source, stdin="-1\n")
-        second = pytrace.load_store(store)["lines"]
+        _, hits = run_prober(tmp_path, source, stdin="1\n")
+        first = report_of(source, hits).executed_lines
+        run_prober(tmp_path, source, stdin="-1\n")
+        second = report_of(source, hits).executed_lines
         assert first < second  # strictly grew: the else arm appeared
         assert second == {1, 2, 3, 5}
-        assert len(store.read_text().splitlines()) == 2  # one record per run
-        assert sorted(os.listdir(tmp_path)) == ["t.py", "trace.jsonl"]
+        assert sorted(os.listdir(tmp_path)) == ["hits", "t.py"]
 
     def test_exit_code_passthrough(self, tmp_path):
-        proc, _ = run_tracer(tmp_path, "import sys\nsys.exit(3)\n")
+        proc, _ = run_prober(tmp_path, "import sys\nsys.exit(3)\n")
         assert proc.returncode == 3
 
     def test_crash_reports_failure_but_keeps_trace(self, tmp_path):
-        proc, store = run_tracer(tmp_path, "x = 1\nraise RuntimeError('boom')\n")
+        proc, hits = run_prober(tmp_path, "x = 1\nraise RuntimeError('boom')\n")
         assert proc.returncode == 1
         assert b"boom" in proc.stderr
-        assert 1 in pytrace.load_store(store)["lines"]
+        assert f'File "{tmp_path / "t.py"}", line 2'.encode() in proc.stderr
+        assert 1 in report_of("x = 1\nraise RuntimeError('boom')\n", hits).executed_lines
 
     def test_stdin_reaches_target(self, tmp_path):
-        proc, _ = run_tracer(tmp_path, "print(input())\n", stdin="marker\n")
+        proc, _ = run_prober(tmp_path, "print(input())\n", stdin="marker\n")
         assert proc.stdout.strip() == b"marker"
+
+    def test_target_runs_as_main(self, tmp_path):
+        source = ('"""Doc."""\n'
+                  "from __future__ import annotations\n"
+                  "import dataclasses, sys\n"
+                  "@dataclasses.dataclass\n"
+                  "class Point:\n"
+                  '    """A point."""\n'
+                  "    x: int\n"
+                  "print(__name__, __file__ == sys.argv[0], sys.argv[1:])\n"
+                  "print(__doc__, Point.__doc__, Point(1))\n"
+                  "print(sys.modules['__main__'].Point is Point)\n")
+        proc, hits = run_prober(tmp_path, source, args=("a", "b"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines() == [
+            "__main__ True ['a', 'b']", "Doc. A point. Point(x=1)", "True"]
+        assert report_of(source, hits).line_coverage == 100.0
 
     def test_imports_only_what_tracing_needs(self, tmp_path):
         source = (
             "import sys\n"
-            "heavy = {'ast', 'dataclasses', 'traceback', 'covloop'}\n"
+            "heavy = {'dataclasses', 'traceback', 'covloop'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
         )
-        proc, _ = run_tracer(tmp_path, source)
+        proc, _ = run_prober(tmp_path, source)
         assert proc.stdout.strip() == b"[]"
+
+
+def served_report(tmp_path, source, *values, timeout=10.0):
+    """The report after running `source` once per value through the loop's
+    own path: prepared target, test server, collection."""
+    script = tmp_path / "prog.py"
+    script.write_text(source)
+    with harness.prepare_target(script, Language.PYTHON, tmp_path / "work") as target:
+        for value in values:
+            harness.run_test(target, TestCase((value,)), timeout=timeout)
+    return parse_gcov(harness.collect_raw_coverage(target))
+
+
+class TestEverythingThatRunsIsMeasured:
+    def test_branch_run_only_in_a_thread(self, tmp_path):
+        source = ("import threading\n"
+                  "def work(x):\n"
+                  "    if x > 0:\n"
+                  "        print('pos')\n"
+                  "t = threading.Thread(target=work, args=(int(input()),))\n"
+                  "t.start()\n"
+                  "t.join()\n")
+        report = served_report(tmp_path, source, "1")
+        assert report.missing_lines == frozenset()
+        assert report.missing_branches == (BranchGap(line=3, branch_id=1),)
+
+    def test_target_that_ends_with_os_exit(self, tmp_path):
+        report = served_report(tmp_path, "import os\nprint(input())\nos._exit(0)\n", "1")
+        assert report.executed_lines == frozenset({1, 2, 3})
+
+    def test_inline_body_arms(self, tmp_path):
+        report = served_report(tmp_path, "x = int(input())\nif x: y = 1\n", "1")
+        assert report.total_branches == 2
+        assert report.missing_branches == (BranchGap(line=2, branch_id=1),)
 
 
 LOOPS = """\
@@ -238,13 +301,11 @@ def test_same_store_on_every_interpreter(tmp_path, minor):
     python = require_interpreter(minor)
     stores = []
     for name, interpreter in (("here", sys.executable), ("there", python)):
-        workdir = tmp_path / name
-        workdir.mkdir()
         for stdin in ("0\n", "3\n"):
-            proc, store = run_tracer(workdir, LOOPS, stdin, python=interpreter)
+            proc, hits = run_prober(tmp_path / name, LOOPS, stdin, python=interpreter)
             assert proc.returncode == 0, proc.stderr
-        stores.append(pytrace.load_store(store))
-    # The same fixture through the tracer's server mode, on that interpreter.
+        stores.append(hits.read_bytes())
+    # The same fixture through the prober's server mode, on that interpreter.
     script = tmp_path / "loops.py"
     script.write_text(LOOPS)
     with harness.prepare_target(script, Language.PYTHON, tmp_path / "served") as target:
@@ -252,17 +313,18 @@ def test_same_store_on_every_interpreter(tmp_path, minor):
         for value in ("0", "3"):
             outcome = harness.run_test(target, TestCase((value,)), timeout=30.0)
             assert outcome.exit_status == 0, outcome.stderr_bytes
-    stores.append(pytrace.load_store(target.data_store))
+    stores.append(target.data_store.read_bytes())
     assert stores[2] == stores[1] == stores[0]
+    assert report_of(LOOPS, target.data_store).total_coverage == 100.0
 
 
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
 def test_multiline_conditions_are_measured(tmp_path, minor):
     python = require_interpreter(minor)
     for stdin in ("1\n1\n", "1\n0\n", "0\n1\n"):
-        proc, store = run_tracer(tmp_path, MULTILINE, stdin, python=python)
+        proc, hits = run_prober(tmp_path, MULTILINE, stdin, python=python)
         assert proc.returncode == 0, proc.stderr
-    report = report_of(MULTILINE, pytrace.load_store(store))
+    report = report_of(MULTILINE, hits)
     assert report.missing_lines == frozenset()
     assert report.total_branches == 8
     assert report.missing_branches == ()
