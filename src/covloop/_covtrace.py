@@ -34,10 +34,11 @@ def instrument(tree: ast.Module) -> list[tuple[int, int | None]]:
     stores 1 into HITS[i] and is listed as (line, arm).
 
     A probe before each statement is listed with arm None. An if, while or
-    for whose test is not a constant gets two arm probes, listed on its
-    first line: arm 0 at the head of its body, arm 1 at the head of its else
-    side, which is created when it is missing. A loop's else side runs when
-    the loop ends without `break`, so arm 1 is the condition-false edge.
+    for whose test the compiler does not fold to a constant (see
+    `_constant_truth`) gets two arm probes, listed on its first line: arm 0
+    at the head of its body, arm 1 at the head of its else side, which is
+    created when it is missing. A loop's else side runs when the loop ends
+    without `break`, so arm 1 is the condition-false edge.
     Code that can never run gets no probe: `global` and `nonlocal`
     declarations, the side of a constant test that the compiler drops, and
     the statements after a return, raise, break or continue in its block.
@@ -70,11 +71,11 @@ def instrument(tree: ast.Module) -> list[tuple[int, int | None]]:
 
     def nested(stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.If, ast.While, ast.For)):
-            if isinstance(getattr(stmt, "test", None), ast.Constant):
-                if stmt.test.value:
-                    stmt.body = block(stmt.body)
-                else:
-                    stmt.orelse = block(stmt.orelse)
+            truth = _constant_truth(getattr(stmt, "test", None))  # a for has no test
+            if truth is True:
+                stmt.body = block(stmt.body)
+            elif truth is False:
+                stmt.orelse = block(stmt.orelse)
             else:
                 stmt.body = block(stmt.body, (probe(stmt.lineno, 0),))
                 stmt.orelse = block(stmt.orelse, (probe(stmt.lineno, 1),))
@@ -91,6 +92,23 @@ def instrument(tree: ast.Module) -> list[tuple[int, int | None]]:
 
     tree.body = block(tree.body, keep=_kept_first(tree.body))
     return table
+
+
+def _constant_truth(test: ast.expr | None) -> bool | None:
+    """The truth of a test the compiler folds to a constant, or None. Folded
+    are a literal, `__debug__` (False under -O, so covloop starts a test
+    server at its own -O level), `not` of a folded test and a tuple of
+    folded items; other folds, such as arithmetic on literals, keep arms."""
+    if isinstance(test, ast.Constant):
+        return bool(test.value)
+    if isinstance(test, ast.Name) and test.id == "__debug__":
+        return __debug__
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        truth = _constant_truth(test.operand)
+        return None if truth is None else not truth
+    if isinstance(test, ast.Tuple) and all(_constant_truth(e) is not None for e in test.elts):
+        return bool(test.elts)
+    return None
 
 
 def _kept_first(body: list[ast.stmt]) -> int:

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import abc
 import enum
-import http.client
+import functools
 import itertools
 import json
 import os
 import re
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 
 from .errors import ContractViolation, RateLimited, TransportError
 from .model import BackendKind, InputKind, RunConfig
@@ -272,6 +270,12 @@ class HttpBackend(CompletionBackend):
         self._key = key
 
     def raw_complete(self, prompt: str, schema_id: SchemaId) -> str:
+        # Imported on first use: with the ssl and email modules they pull in,
+        # they cost about 7 MB and 40 ms of start-up that a stub run never needs.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self.endpoint,
             data=json.dumps({"model": self.model_id, "prompt": prompt}).encode(),
@@ -281,7 +285,7 @@ class HttpBackend(CompletionBackend):
         )
         try:
             try:
-                response = _OPENER.open(request, timeout=self.timeout)
+                response = _opener().open(request, timeout=self.timeout)
             except urllib.error.HTTPError as exc:
                 response = exc  # error and redirect statuses, body included
             with response:
@@ -302,13 +306,17 @@ class HttpBackend(CompletionBackend):
         return _extract_completion_text(body)
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    # A followed redirect would resend the bearer token to the Location's host.
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+@functools.cache
+def _opener():
+    """The opener of every HttpBackend: it refuses to follow a redirect,
+    which would resend the bearer token to the Location's host."""
+    import urllib.request
 
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
 
-_OPENER = urllib.request.build_opener(_NoRedirect)
+    return urllib.request.build_opener(NoRedirect)
 
 
 def _parse_retry_after(header: str | None) -> float:

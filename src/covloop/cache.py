@@ -46,6 +46,13 @@ class TestSuiteCache:
     def ordered(self) -> tuple[TestCase, ...]:
         return tuple(self._ordered)
 
+    def snapshot(self) -> TestSuiteCache:
+        """A copy that later inserts into this cache leave unchanged."""
+        copy = TestSuiteCache()
+        copy._keys = set(self._keys)
+        copy._ordered = list(self._ordered)
+        return copy
+
     def insert_if_novel(self, tc: TestCase) -> bool:
         """Append and return True when unseen; return False untouched otherwise."""
         key = canonical_key(tc)

@@ -202,8 +202,10 @@ def prepare_target(
         target.executable_or_script = local_source
         prober = target.build_dir / _PROBER_NAME
         shutil.copyfile(Path(__file__).with_name(_PROBER_NAME), prober)
-        target.test_argv = (sys.executable, str(prober), str(target.data_store),
-                            str(local_source))
+        # At covloop's own -O level, so the server's probes fold `__debug__`
+        # as `pytrace.build_export` does here.
+        target.test_argv = (sys.executable, *(["-O"] * sys.flags.optimize), str(prober),
+                            str(target.data_store), str(local_source))
     return target
 
 

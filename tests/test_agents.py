@@ -1,6 +1,9 @@
 """Tests for the agent layer: validation, retry, generation, feedback, HTTP."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -390,6 +393,15 @@ REPLY = '{"test_cases": [["7"]]}'
 
 
 class TestHttpBackend:
+    def test_http_stack_is_not_imported_by_the_loop_or_the_cli(self):
+        code = ("import sys, covloop.driver, covloop.cli; print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] in ('ssl', 'email') "
+                "or m in ('http.client', 'urllib.request')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": os.pathsep.join(sys.path)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_requires_credential(self, monkeypatch):
         monkeypatch.delenv("COVLOOP_API_KEY", raising=False)
         with pytest.raises(ContractViolation):

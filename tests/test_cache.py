@@ -87,6 +87,14 @@ class TestPersist:
         cache.insert_if_novel(TestCase(("a",)))
         assert cache.persist_novel(tmp_path, 1) == []
 
+    def test_snapshot_keeps_its_cases_when_the_cache_grows(self, tmp_path):
+        cache = TestSuiteCache()
+        cache.insert_if_novel(TestCase(("a",)))
+        snapshot = cache.snapshot()
+        cache.insert_if_novel(TestCase(("b",)))
+        assert (len(snapshot), ("b",) in snapshot) == (1, False)
+        assert [p.name for p in snapshot.persist_novel(tmp_path, 0)] == ["test_0000.txt"]
+
     def test_unwritable_directory_raises(self, tmp_path):
         cache = TestSuiteCache()
         cache.insert_if_novel(TestCase(("a",)))

@@ -3,15 +3,18 @@
 import ctypes
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
 
 from conftest import ConstantPayloadBackend, make_config
-from covloop import harness
+from covloop import driver, evaluator, harness
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
+from covloop.cache import TestSuiteCache
 from covloop.driver import run_loop
-from covloop.errors import MalformedResponse, TransportError, UnsupportedLanguage
+from covloop.errors import MalformedResponse, PersistError, TransportError, UnsupportedLanguage
 from covloop.model import Termination
 
 
@@ -242,16 +245,20 @@ class FailingFeedbackBackend(CompletionBackend):
         return self._stub.raw_complete(prompt, schema_id)
 
 
+# Each way a run can end: a termination, or an exception that propagates.
+EVERY_ENDING = pytest.mark.parametrize("make_backend, ending", [
+    (StubBackend, Termination.THRESHOLD_MET),
+    (lambda: ConstantPayloadBackend([["1"], ["2"]]), Termination.STAGNATED),
+    (lambda: FailingFeedbackBackend(TransportError("down")), Termination.BACKEND_FAILURE),
+    (lambda: FailingFeedbackBackend(RuntimeError("boom")), RuntimeError),
+], ids=["threshold_met", "stagnated", "backend_failure", "backend_exception"])
+
+
 class TestNoProcessOutlivesTheRun:
     """Each way a run ends stops the target's test server and its idle child."""
 
     @pytest.mark.parametrize("fixture", ["guard_c", "guard_py"])
-    @pytest.mark.parametrize("make_backend, ending", [
-        (StubBackend, Termination.THRESHOLD_MET),
-        (lambda: ConstantPayloadBackend([["1"], ["2"]]), Termination.STAGNATED),
-        (lambda: FailingFeedbackBackend(TransportError("down")), Termination.BACKEND_FAILURE),
-        (lambda: FailingFeedbackBackend(RuntimeError("boom")), RuntimeError),
-    ], ids=["threshold_met", "stagnated", "backend_failure", "backend_exception"])
+    @EVERY_ENDING
     def test_every_ending_reaps_the_server(self, tmp_path, request, monkeypatch, subreaper,
                                            fixture, make_backend, ending):
         tests = []
@@ -268,3 +275,139 @@ class TestNoProcessOutlivesTheRun:
         assert tests  # a server was started
         with pytest.raises(ChildProcessError):  # no child, running or exited
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+# Sixteen guards on two inputs: the analysts quote sixteen constants, and the
+# stub's focus product proposes 200 cases in one iteration.
+WIDE_C = (
+    "#include <stdio.h>\n\nint main(void) {\n    int a = 0, b = 0;\n"
+    '    scanf("%d %d", &a, &b);\n'
+    + "".join(f'    if (a == {c}) printf("a{c}\\n");\n' for c in (3, 8, 14, 19, 27, 31, 46, 52))
+    + "".join(f'    if (b == {c}) printf("b{c}\\n");\n' for c in (67, 73, 88, 94, 101, 117, 125, 139))
+    + "    return 0;\n}\n"
+)
+
+
+@pytest.fixture
+def wide_c(tmp_path):
+    path = tmp_path / "wide.c"
+    path.write_text(WIDE_C)
+    return path
+
+
+@pytest.fixture
+def slow_writes(monkeypatch):
+    """Delay each write of test cases, the writes made on the writer thread,
+    by longer than running those cases takes, so a run that returned without
+    waiting for them would be seen with files missing or threads alive. Only
+    these are delayed: a delay on the loop's own thread would give the writer
+    time to finish and hide a missing wait."""
+    persist_novel = TestSuiteCache.persist_novel
+
+    def slow(cache, directory, since_index):
+        time.sleep(0.02 + 0.002 * (len(cache) - since_index))
+        return persist_novel(cache, directory, since_index)
+
+    monkeypatch.setattr(TestSuiteCache, "persist_novel", slow)
+
+
+class SerialWriter(driver._Writer):
+    """Makes each write on the loop's own thread, when it is submitted."""
+
+    def submit(self, write, *args, **kwargs):
+        write(*args, **kwargs)
+
+
+def written_files(workdir):
+    return {
+        str(path.relative_to(workdir)): path.read_bytes()
+        for name in ("TestCases", "prompts", "coverage")
+        for path in sorted((workdir / name).iterdir())
+    }
+
+
+class TestBackgroundWrites:
+    def test_writes_run_in_order_and_stop_at_the_first_error(self):
+        done = []
+
+        def fail():
+            raise PersistError("disk full")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(PersistError, match="disk full"), driver._Writer() as writer:
+                for i in range(500):
+                    writer.submit(done.append, i)
+                writer.wait()
+                assert done == list(range(500))
+                writer.submit(fail)
+                writer.submit(done.append, "after the error")
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == list(range(500))
+
+    @pytest.mark.parametrize("fixture", ["guard_c", "guard_py", "wide_c"])
+    def test_files_equal_a_serial_run(self, tmp_path, request, monkeypatch, fixture):
+        source = request.getfixturevalue(fixture)
+        with monkeypatch.context() as serial:
+            serial.setattr(driver, "_Writer", SerialWriter)
+            reference = run_loop(make_config(tmp_path, workdir=tmp_path / "serial"), source)
+        request.getfixturevalue("slow_writes")
+        result = run_loop(make_config(tmp_path, workdir=tmp_path / "background"), source)
+        expected = written_files(reference.workdir)
+        assert written_files(result.workdir) == expected
+        assert sum(name.startswith("TestCases") for name in expected) == len(result.cache)
+        if fixture == "wide_c":
+            assert max(r.novel_tests for r in result.iterations) == 200
+
+    @pytest.mark.parametrize("entry, error, requests", [
+        ("prompts", NotADirectoryError, []),
+        ("TestCases", PersistError, [SchemaId.TEST_CASES]),
+        ("coverage", PersistError, [SchemaId.TEST_CASES]),
+    ])
+    def test_failed_write_ends_the_run_before_the_next_request(
+            self, tmp_path, guard_c, monkeypatch, slow_writes, entry, error, requests):
+        prepare_target = harness.prepare_target
+
+        def prepare_with_a_file_in_place_of(*args):
+            target = prepare_target(*args)
+            (target.workdir / entry).rmdir()
+            (target.workdir / entry).write_text("")
+            return target
+
+        monkeypatch.setattr(harness, "prepare_target", prepare_with_a_file_in_place_of)
+        backend = RecordingBackend(StubBackend())
+        with pytest.raises(error):
+            run_loop(make_config(tmp_path), guard_c, backend=backend)
+        # Iteration 0 needs feedback, so a run that went on would send more.
+        assert [schema for schema, _ in backend.requests] == requests
+
+    def test_an_error_of_the_loop_wins_over_a_write_error(
+            self, tmp_path, guard_c, monkeypatch, slow_writes):
+        persist_novel = TestSuiteCache.persist_novel
+
+        def fail_to_persist(*args):
+            persist_novel(*args)
+            raise PersistError("write failed")
+
+        def fail_to_collect(target):
+            raise RuntimeError("collection failed")
+
+        # The test cases' write is still pending when collection raises.
+        monkeypatch.setattr(TestSuiteCache, "persist_novel", fail_to_persist)
+        monkeypatch.setattr(harness, "collect_raw_coverage", fail_to_collect)
+        with pytest.raises(RuntimeError, match="collection failed"):
+            run_loop(make_config(tmp_path), guard_c)
+
+    @EVERY_ENDING
+    def test_no_thread_outlives_the_run(self, tmp_path, guard_c, slow_writes,
+                                        make_backend, ending):
+        before = set(threading.enumerate())
+        if isinstance(ending, Termination):
+            result = run_loop(make_config(tmp_path), guard_c, backend=make_backend())
+            assert result.termination is ending
+        else:
+            with pytest.raises(ending):
+                run_loop(make_config(tmp_path), guard_c, backend=make_backend())
+        assert set(threading.enumerate()) <= before

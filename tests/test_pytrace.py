@@ -1,6 +1,7 @@
 """Tests for the Python lane: probe table, gcov entry, hits file, prober."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -328,3 +329,63 @@ def test_multiline_conditions_are_measured(tmp_path, minor):
     assert report.missing_lines == frozenset()
     assert report.total_branches == 8
     assert report.missing_branches == ()
+
+
+# Tests the compiler folds to a constant: it drops one side of each, so they
+# get no arms, and only the side that runs is measured. Under -O, `__debug__`
+# is False and the other side of the first two is dropped, which makes one
+# probe more.
+FOLDED = """\
+x = 1
+if __debug__:
+    x = 2
+if not __debug__:
+    x = 3
+    x = 4
+while (1, 2):
+    x = 5
+    break
+if not False:
+    x = 6
+"""
+
+
+@pytest.mark.parametrize("test", ["__debug__", "not __debug__", "not False", "(1, 2)",
+                                  "()", "not (0, __debug__)"])
+def test_folded_tests_get_no_arms(test):
+    table = _covtrace.instrument(ast.parse(f"if {test}:\n    x = 1\nelse:\n    x = 2\n"))
+    assert [arm for _, arm in table] == [None, None]
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_folded_tests_reach_full_coverage_on_every_interpreter(tmp_path, minor):
+    python = require_interpreter(minor)
+    script = tmp_path / "folded.py"
+    script.write_text(FOLDED)
+    with harness.prepare_target(script, Language.PYTHON, tmp_path / "work") as target:
+        target.test_argv = (python, *target.test_argv[1:])
+        outcome = harness.run_test(target, TestCase(()), timeout=30.0)
+        assert outcome.exit_status == 0, outcome.stderr_bytes
+    report = parse_gcov(harness.collect_raw_coverage(target))
+    assert report.executed_lines == frozenset({1, 2, 3, 4, 7, 8, 9, 10, 11})
+    assert report.missing_lines == frozenset()
+    assert (report.total_branches, report.missing_branches) == (0, ())
+    assert report.total_coverage == 100.0
+
+
+def test_folded_tests_reach_full_coverage_under_optimize(tmp_path):
+    """covloop run under -O starts its test server under -O too, so both
+    fold `__debug__` to False and agree on the probe table."""
+    script = tmp_path / "folded.py"
+    script.write_text(FOLDED)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "covloop.cli", "run", str(script), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    artifact = json.loads((out / "coverage" / "iter_0.json").read_text())
+    assert artifact["executed_lines"] == [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert (artifact["missing_lines"], artifact["missing_branches"]) == ([], [])
+    assert json.loads((out / "result.json").read_text())["termination"] == "threshold_met"
