@@ -18,12 +18,15 @@ forked child that runs the compiled script as above.
 
 import ast
 import atexit
+import dis
 import mmap
 import os
 import select
 import signal
 import struct
 import sys
+import threading
+import warnings
 
 SERVER_ENV = "COVLOOP_FORKSRV"  # testserver.SERVER_ENV; this file runs alone, as a copy
 HITS = "covloop hits"  # the probes' global name, which no source can spell
@@ -71,7 +74,7 @@ def instrument(tree: ast.Module) -> list[tuple[int, int | None]]:
 
     def nested(stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.If, ast.While, ast.For)):
-            truth = _constant_truth(getattr(stmt, "test", None))  # a for has no test
+            truth = None if isinstance(stmt, ast.For) else _constant_truth(stmt)
             if truth is True:
                 stmt.body = block(stmt.body)
             elif truth is False:
@@ -94,21 +97,29 @@ def instrument(tree: ast.Module) -> list[tuple[int, int | None]]:
     return table
 
 
-def _constant_truth(test: ast.expr | None) -> bool | None:
-    """The truth of a test the compiler folds to a constant, or None. Folded
-    are a literal, `__debug__` (False under -O, so covloop starts a test
-    server at its own -O level), `not` of a folded test and a tuple of
-    folded items; other folds, such as arithmetic on literals, keep arms."""
-    if isinstance(test, ast.Constant):
-        return bool(test.value)
-    if isinstance(test, ast.Name) and test.id == "__debug__":
-        return __debug__
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        truth = _constant_truth(test.operand)
-        return None if truth is None else not truth
-    if isinstance(test, ast.Tuple) and all(_constant_truth(e) is not None for e in test.elts):
-        return bool(test.elts)
-    return None
+# catch_warnings swaps the process's filter list; covloop probes from threads.
+_COMPILING = threading.Lock()
+
+
+def _constant_truth(stmt: ast.If | ast.While) -> bool | None:
+    """The truth of a test the compiler folds to a constant, or None. The
+    test is compiled alone, in a statement of its kind with a marker store on
+    each side; a marker missing from the bytecode is a side the compiler
+    dropped. `__debug__` folds by the -O level, so covloop starts a test
+    server at its own. A test that cannot compile alone (`await`) keeps arms.
+    Its compiler warnings (`x is 1`) are ignored here, whatever -W says, so
+    that they neither reach stderr twice nor turn into a SyntaxError."""
+    marks = [f"{HITS} {arm}" for arm in (0, 1)]
+    sides = ([ast.Assign([ast.Name(mark, ast.Store())], ast.Constant(0))] for mark in marks)
+    skeleton = ast.fix_missing_locations(ast.Module([type(stmt)(stmt.test, *sides)], []))
+    with _COMPILING, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = compile(skeleton, "<test>", "exec", dont_inherit=True)
+        except SyntaxError:
+            return None
+    stored = {op.argval for op in dis.get_instructions(code) if op.opname == "STORE_NAME"}
+    return None if set(marks) <= stored else marks[0] in stored
 
 
 def _kept_first(body: list[ast.stmt]) -> int:

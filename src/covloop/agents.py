@@ -133,7 +133,8 @@ def cases_from_payload(
     """Map a validated test_cases payload to TestCase values.
 
     Inner lists whose length disagrees with the target's input count are
-    dropped (logged), as are values that cannot be a single stdin line.
+    dropped (logged), as are values that cannot be a single stdin line of
+    UTF-8 text.
     """
     cases: list[TestCase] = []
     for raw_case in payload["test_cases"]:

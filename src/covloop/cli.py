@@ -8,11 +8,12 @@ import logging
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import _EXTENSIONS
 from .driver import RunResult, run_loop
-from .errors import CovloopError
+from .errors import ContractViolation, CovloopError
 from .model import BackendKind, RunConfig, Termination, format_pct
 
 log = logging.getLogger(__name__)
@@ -56,10 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the loop over one source file")
     run_p.add_argument("source", type=Path)
     add_common(run_p)
+    run_p.set_defaults(parser=run_p)
 
     bench_p = sub.add_parser("bench", help="run every target in a directory")
     bench_p.add_argument("directory", type=Path)
     add_common(bench_p)
+    bench_p.set_defaults(parser=bench_p)
     bench_p.add_argument("--jobs", type=int, default=1,
                          help="parallel targets (default 1)")
     bench_p.add_argument("--bound", default=None,
@@ -67,22 +70,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, workdir: Path) -> RunConfig:
-    return RunConfig(
-        threshold=args.threshold,
-        k_max=args.max_iters,
-        per_test_timeout=args.timeout,
+def _config_from_args(args) -> RunConfig:
+    """The run's RunConfig. A flag out of the range RunConfig checks is a
+    usage error that names the flag, raised before any directory is made."""
+    config = RunConfig(
         backend=BackendKind(args.backend),
         model_id=args.model,
-        workdir=workdir,
+        workdir=args.out,
         endpoint=args.endpoint,
         line_feedback_enabled=not args.no_line_feedback,
         branch_feedback_enabled=not args.no_branch_feedback,
     )
+    for flag, field, value in (("--threshold", "threshold", args.threshold),
+                               ("--max-iters", "k_max", args.max_iters),
+                               ("--timeout", "per_test_timeout", args.timeout)):
+        try:
+            config = replace(config, **{field: value})
+        except ContractViolation as exc:
+            args.parser.error(f"argument {flag}: {exc}")
+    return config
 
 
-def cli_run(args) -> int:
-    config = _config_from_args(args, args.out)
+def cli_run(args, config: RunConfig) -> int:
     try:
         result = run_loop(config, args.source)
     except (CovloopError, OSError) as exc:
@@ -125,7 +134,7 @@ def _bench_targets(directory: Path, default_bound: str | None):
             for path, label in targets]
 
 
-def bench_run(args) -> int:
+def bench_run(args, config: RunConfig) -> int:
     directory: Path = args.directory
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -136,9 +145,9 @@ def bench_run(args) -> int:
 
     def one(entry) -> tuple[str, str, RunResult | str]:
         program, path, label = entry
-        config = _config_from_args(args, out / f"{program}__{label}")
         try:
-            return program, label, run_loop(config, path)
+            return program, label, run_loop(
+                replace(config, workdir=out / f"{program}__{label}"), path)
         except (CovloopError, OSError) as exc:
             log.error("target %s failed: %s", path, exc)
             return program, label, f"ERROR: {exc}"
@@ -202,13 +211,14 @@ def _report_row(program: str, bound: str, result: RunResult | str) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    config = _config_from_args(args)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     if args.command == "run":
-        return cli_run(args)
-    return bench_run(args)
+        return cli_run(args, config)
+    return bench_run(args, config)
 
 
 if __name__ == "__main__":

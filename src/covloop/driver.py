@@ -23,16 +23,18 @@ all-zero report of a target no test has run yet is collected only when an
 iteration or the result needs it. The analysts do not run after the last
 iteration, because no later prompt would read their output.
 
-Each iteration's new test cases are written in order by one writer thread
-per run, so creating their files overlaps the iteration's tests and coverage
-collection. The loop waits for the writer once collection is done, before it
-writes the iteration's coverage artifact; so every write is done before each
-backend request and before `run_loop` returns, a failed write ends the run
-before another request is sent, and every file exists when the run returns.
-If the loop itself raises, its error is the one that propagates. The prompt
-and the coverage artifact are written on the loop's own thread: the loop
-would wait for them at once, so handing them over would add only a thread
-wake-up each, whose latency varies from one write to the next.
+Each iteration's new test cases are written on a one-worker thread pool
+that the run opens next to its prepared target, so creating their files
+overlaps the iteration's tests and coverage collection. At most one write is
+pending: the loop waits for it once collection is done, before it writes the
+iteration's coverage artifact. So every write is done before each backend
+request and before `run_loop` returns, and a failed write ends the run
+before another request is sent. If the loop itself raises while a write is
+pending, leaving the pool waits for the write and drops its error, so the
+loop's error is the one that propagates. The prompt and the coverage
+artifact are written on the loop's own thread: the loop would wait for them
+at once, so handing them over would add only a thread wake-up each, whose
+latency varies from one write to the next.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,7 +100,7 @@ def run_loop(
 
     backend = backend or make_backend(config)
     with (harness.prepare_target(source_path, language, config.workdir) as target,
-          _Writer() as writer):
+          ThreadPoolExecutor(max_workers=1, thread_name_prefix="covloop-writer") as writer):
         result = _iterate(config, target, writer, backend, signature, source, started)
     target.result_path.write_text(
         json.dumps(result_dict(result), indent=2) + "\n", encoding="utf-8"
@@ -110,14 +111,14 @@ def run_loop(
 def _iterate(
     config: RunConfig,
     target: harness.PreparedTarget,
-    writer: _Writer,
+    writer: ThreadPoolExecutor,
     backend: CompletionBackend,
     signature: InputSignature,
     source: str,
     started: float,
 ) -> RunResult:
-    """The loop itself, over a prepared target and a writer that the caller
-    closes."""
+    """The loop itself, over a prepared target and a writer pool that the
+    caller closes."""
     cache = TestSuiteCache()
     line_fb: FeedbackRefinement | None = None
     branch_fb: FeedbackRefinement | None = None
@@ -151,9 +152,8 @@ def _iterate(
         since = len(cache)
         for tc in novel:
             cache.insert_if_novel(tc)
-        if novel:
-            writer.submit(TestSuiteCache.persist_novel, cache.snapshot(),
-                          target.testcases_dir, since)
+        written = writer.submit(TestSuiteCache.persist_novel, cache.snapshot(),
+                                target.testcases_dir, since) if novel else None
 
         for tc in novel:
             outcome = harness.run_test(target, tc, config.per_test_timeout)
@@ -165,7 +165,8 @@ def _iterate(
 
         if novel or report is None:
             report = _evaluate(target)
-        writer.wait()
+        if written is not None:
+            written.result()
         evaluator.emit_artifact(report, target.coverage_dir / f"iter_{k}.json")
         records.append(
             IterationRecord(
@@ -207,47 +208,6 @@ def _iterate(
         cache=cache,
         workdir=target.workdir,
     )
-
-
-class _Writer:
-    """One run's file writes, made in order on one background thread.
-
-    Each write is handed data the loop does not change afterwards, such as
-    a cache snapshot. `wait()` returns once every write submitted so far is
-    done, and raises the first write's error; writes after a failed one are
-    skipped. Leaving the `with` block waits for the
-    thread to end; it raises a write's error only if the block itself did
-    not raise, so an error of the loop is the one that propagates.
-    """
-
-    def __init__(self) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="covloop-writer")
-        self._last: Future | None = None
-        self._error: Exception | None = None
-
-    def __enter__(self) -> _Writer:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._pool.shutdown(wait=True)
-        if exc_type is None:
-            self.wait()
-
-    def submit(self, write: Callable[..., object], *args: object, **kwargs: object) -> None:
-        self._last = self._pool.submit(self._run, write, args, kwargs)
-
-    def _run(self, write: Callable[..., object], args: tuple, kwargs: dict) -> None:
-        if self._error is None:
-            try:
-                write(*args, **kwargs)
-            except Exception as exc:  # raised again on the loop's thread by wait()
-                self._error = exc
-
-    def wait(self) -> None:
-        if self._last is not None:
-            self._last.result()  # one worker: every earlier write is done too
-        if self._error is not None:
-            raise self._error
 
 
 def _evaluate(target: harness.PreparedTarget) -> CoverageReport:

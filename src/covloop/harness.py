@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import shutil
 import subprocess
 import sys

@@ -80,6 +80,10 @@ class TestCase:
         for v in self.values:
             if "\n" in v or "\r" in v:
                 raise ContractViolation(f"test value contains a newline: {v!r}")
+            try:
+                v.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ContractViolation(f"test value does not encode as UTF-8: {v!r}") from exc
 
     def stdin_payload(self) -> str:
         """The exact bytes-as-text written to the child's stdin."""

@@ -17,6 +17,7 @@ arm 1 taking the else side, which for a loop is the exit without `break`.
 from __future__ import annotations
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 from ._covtrace import instrument
@@ -30,7 +31,7 @@ def build_export(source: str, store: Path) -> dict:
     and 0 if not. An if/while/for line lists one `branches` item per arm,
     body arm first, with `count` 1 if the arm was taken.
     """
-    table = instrument(ast.parse(source))
+    table = probe_table(source)
     lines: dict[int, dict] = {}
     for (line, arm), hit in zip(table, load_store(store, len(table))):
         entry = lines.setdefault(line, {"line_number": line, "count": 0, "branches": []})
@@ -39,6 +40,13 @@ def build_export(source: str, store: Path) -> dict:
         else:
             entry["branches"].append({"count": hit})
     return {"lines": [lines[line] for line in sorted(lines)]}
+
+
+@lru_cache(maxsize=32)
+def probe_table(source: str) -> tuple[tuple[int, int | None], ...]:
+    """`instrument`'s probe table of `source`, built once per source: a run
+    rebuilds its target's export after each iteration that adds tests."""
+    return tuple(instrument(ast.parse(source)))
 
 
 def load_store(path: Path, probes: int) -> bytes:

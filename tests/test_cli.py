@@ -12,6 +12,13 @@ from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_inter
 from covloop.cli import main
 
 
+OUT_OF_RANGE = pytest.mark.parametrize("flag, value, message", [
+    ("--max-iters", "0", "argument --max-iters: k_max must be >= 1: 0"),
+    ("--threshold", "0", "argument --threshold: threshold must be in (0, 100]: 0.0"),
+    ("--timeout", "-1", "argument --timeout: per_test_timeout must be positive"),
+])
+
+
 class TestRunCommand:
     def test_threshold_met_exits_zero(self, tmp_path, guard_c, capsys):
         code = main(["run", str(guard_c), "--out", str(tmp_path / "out")])
@@ -94,6 +101,15 @@ class TestRunCommand:
             main(["run", str(guard_c), "--backend", "carrier-pigeon"])
         assert exc.value.code == 64
 
+    @OUT_OF_RANGE
+    def test_out_of_range_flag_exits_64(self, tmp_path, guard_c, capsys, flag, value, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(guard_c), "--out", str(out), flag, value])
+        assert exc.value.code == 64
+        assert f"covloop run: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
 def test_runs_without_site_packages(tmp_path, guard_py, minor):
@@ -119,6 +135,16 @@ def bench_dir(tmp_path):
 
 
 class TestBenchCommand:
+    @OUT_OF_RANGE
+    def test_out_of_range_flag_exits_64_before_out_is_made(
+            self, tmp_path, bench_dir, capsys, flag, value, message):
+        out = tmp_path / "bench_out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(bench_dir), "--out", str(out), flag, value])
+        assert exc.value.code == 64
+        assert f"covloop bench: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_written_with_one_row_per_target(self, tmp_path, bench_dir, capsys):
         out = tmp_path / "bench_out"
         code = main(["bench", str(bench_dir), "--out", str(out)])

@@ -3,13 +3,13 @@
 import ctypes
 import json
 import os
-import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
-from conftest import ConstantPayloadBackend, make_config
+from conftest import ConstantPayloadBackend, ScriptedBackend, make_config
 from covloop import driver, evaluator, harness
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.cache import TestSuiteCache
@@ -70,6 +70,14 @@ class TestTermination:
         payload = json.loads((result.workdir / "result.json").read_text())
         assert payload["termination"] == "stagnated"
         assert "stagnated" not in payload
+
+    def test_a_value_that_is_not_utf8_is_dropped(self, tmp_path, guard_c):
+        # Valid JSON: a lone surrogate escape decodes, but cannot be encoded.
+        backend = ScriptedBackend(['{"test_cases": [["\\ud800"], ["ok"]]}'])
+        result = run_loop(make_config(tmp_path, k_max=1), guard_c, backend=backend)
+        assert result.termination is Termination.K_MAX_REACHED
+        assert result.executed_processes == 1
+        assert [tc.values for tc in result.cache.ordered] == [("ok",)]
 
     def test_no_analysts_after_the_last_iteration(self, tmp_path, guard_c):
         backend = RecordingBackend(ConstantPayloadBackend([["1"], ["2"]]))
@@ -311,11 +319,40 @@ def slow_writes(monkeypatch):
     monkeypatch.setattr(TestSuiteCache, "persist_novel", slow)
 
 
-class SerialWriter(driver._Writer):
-    """Makes each write on the loop's own thread, when it is submitted."""
+class SerialPool:
+    """Stands in for `driver.ThreadPoolExecutor`: runs each call on the
+    loop's own thread when it is submitted, and returns its completed Future."""
 
-    def submit(self, write, *args, **kwargs):
-        write(*args, **kwargs)
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, call, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(call(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class FileCountingBackend(RecordingBackend):
+    """Also records each request's schema with how many files a directory
+    holds at that request."""
+
+    def __init__(self, inner: CompletionBackend, directory):
+        super().__init__(inner)
+        self.directory = directory
+        self.files = []
+
+    def raw_complete(self, prompt, schema_id):
+        self.files.append((schema_id, len(os.listdir(self.directory))))
+        return super().raw_complete(prompt, schema_id)
 
 
 def written_files(workdir):
@@ -327,31 +364,11 @@ def written_files(workdir):
 
 
 class TestBackgroundWrites:
-    def test_writes_run_in_order_and_stop_at_the_first_error(self):
-        done = []
-
-        def fail():
-            raise PersistError("disk full")
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with pytest.raises(PersistError, match="disk full"), driver._Writer() as writer:
-                for i in range(500):
-                    writer.submit(done.append, i)
-                writer.wait()
-                assert done == list(range(500))
-                writer.submit(fail)
-                writer.submit(done.append, "after the error")
-        finally:
-            sys.setswitchinterval(interval)
-        assert done == list(range(500))
-
     @pytest.mark.parametrize("fixture", ["guard_c", "guard_py", "wide_c"])
     def test_files_equal_a_serial_run(self, tmp_path, request, monkeypatch, fixture):
         source = request.getfixturevalue(fixture)
         with monkeypatch.context() as serial:
-            serial.setattr(driver, "_Writer", SerialWriter)
+            serial.setattr(driver, "ThreadPoolExecutor", SerialPool)
             reference = run_loop(make_config(tmp_path, workdir=tmp_path / "serial"), source)
         request.getfixturevalue("slow_writes")
         result = run_loop(make_config(tmp_path, workdir=tmp_path / "background"), source)
@@ -360,6 +377,26 @@ class TestBackgroundWrites:
         assert sum(name.startswith("TestCases") for name in expected) == len(result.cache)
         if fixture == "wide_c":
             assert max(r.novel_tests for r in result.iterations) == 200
+
+    @pytest.mark.parametrize("fixture", ["guard_c", "wide_c"])
+    def test_each_request_follows_every_write_before_it(
+            self, tmp_path, request, slow_writes, fixture):
+        config = make_config(tmp_path)
+        backend = FileCountingBackend(StubBackend(), config.workdir / "TestCases")
+        result = run_loop(config, request.getfixturevalue(fixture), backend=backend)
+        novel = [r.novel_tests for r in result.iterations]
+        # A generation request follows the writes of the iterations before
+        # it; the analysts' requests follow their own iteration's write too.
+        written, expected = [], []
+        for schema, _ in backend.files:
+            if schema is SchemaId.TEST_CASES:
+                written.append(novel[len(written)])
+                expected.append((schema, sum(written[:-1])))
+            else:
+                expected.append((schema, sum(written)))
+        assert written == novel
+        assert SchemaId.REFINEMENT in {schema for schema, _ in expected}
+        assert backend.files == expected
 
     @pytest.mark.parametrize("entry, error, requests", [
         ("prompts", NotADirectoryError, []),

@@ -121,6 +121,10 @@ class TestTestCase:
         with pytest.raises(ContractViolation):
             TestCase((bad,))
 
+    def test_lone_surrogate_rejected(self):
+        with pytest.raises(ContractViolation, match="UTF-8"):
+            TestCase(("ok", "\ud800"))
+
 
 class TestRunConfig:
     def test_defaults_match_loop_constants(self):

@@ -347,14 +347,49 @@ while (1, 2):
     break
 if not False:
     x = 6
+if -1:
+    x = 7
+if 1 + 1:
+    x = 8
+while 1 and 0:
+    x = 9
+if x or True:
+    x = 10
+if x and False:
+    x = 11
+if not 0:
+    x = 12
+while '' or 0:
+    x = 13
+if None:
+    x = 14
 """
+FOLDED_LINES = {1, 2, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 22, 23, 24, 26}
+
+
+def arms_of(source):
+    """The arm of each probe, statement probes (None) included."""
+    return [arm for _, arm in _covtrace.instrument(ast.parse(source))]
 
 
 @pytest.mark.parametrize("test", ["__debug__", "not __debug__", "not False", "(1, 2)",
-                                  "()", "not (0, __debug__)"])
+                                  "()", "not (0, __debug__)", "-1", "1 + 1", "1 and 0",
+                                  "x or True", "x and False", "not 0", "'' or 0", "None"])
 def test_folded_tests_get_no_arms(test):
-    table = _covtrace.instrument(ast.parse(f"if {test}:\n    x = 1\nelse:\n    x = 2\n"))
-    assert [arm for _, arm in table] == [None, None]
+    for kind in ("if", "while"):
+        assert arms_of(f"{kind} {test}:\n    x = 1\nelse:\n    x = 2\n") == [None, None]
+
+
+@pytest.mark.parametrize("test", ["x", "1 < 2", "[]", "(x, 1)"])
+def test_unfolded_tests_keep_both_arms(test):
+    for kind in ("if", "while"):
+        assert arms_of(f"{kind} {test}:\n    x = 1\nelse:\n    x = 2\n") == [
+            None, 0, None, 1, None]
+
+
+@pytest.mark.parametrize("test", ["await x", "(yield)"])
+def test_a_test_that_cannot_compile_alone_keeps_both_arms(test):
+    assert arms_of(f"async def f():\n    if {test}:\n        x = 1\n") == [None, None, 0, None, 1]
 
 
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
@@ -367,7 +402,7 @@ def test_folded_tests_reach_full_coverage_on_every_interpreter(tmp_path, minor):
         outcome = harness.run_test(target, TestCase(()), timeout=30.0)
         assert outcome.exit_status == 0, outcome.stderr_bytes
     report = parse_gcov(harness.collect_raw_coverage(target))
-    assert report.executed_lines == frozenset({1, 2, 3, 4, 7, 8, 9, 10, 11})
+    assert report.executed_lines == frozenset(FOLDED_LINES | {3})
     assert report.missing_lines == frozenset()
     assert (report.total_branches, report.missing_branches) == (0, ())
     assert report.total_coverage == 100.0
@@ -386,6 +421,26 @@ def test_folded_tests_reach_full_coverage_under_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     artifact = json.loads((out / "coverage" / "iter_0.json").read_text())
-    assert artifact["executed_lines"] == [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert artifact["executed_lines"] == sorted(FOLDED_LINES | {5, 6})
     assert (artifact["missing_lines"], artifact["missing_branches"]) == ([], [])
     assert json.loads((out / "result.json").read_text())["termination"] == "threshold_met"
+
+
+def test_compiler_warnings_of_a_test_do_not_change_its_arms(tmp_path):
+    """Under -W error, the `is` with a literal warning that compiling the
+    test alone raises neither fails the skeleton nor reaches stderr: covloop
+    folds `x is 1 or True` as its test server does, which runs without -W."""
+    script = tmp_path / "is_literal.py"
+    script.write_text("x = 1\nif x is 1 or True:\n    x = 2\nif x is 1:\n    x = 3\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "covloop.cli", "run", str(script),
+         "--out", str(out), "--threshold", "50"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "<test>" not in proc.stderr
+    artifact = json.loads((out / "coverage" / "iter_0.json").read_text())
+    assert artifact["executed_lines"] == [1, 2, 3, 4]
+    assert artifact["missing_branches"] == [{"line": 4, "branch_id": 0, "taken": False}]
