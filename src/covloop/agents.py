@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 
 from .backends import CompletionBackend, SchemaId
-from .cache import TestSuiteCache, canonical_key
+from .cache import TestSuiteCache
 from .errors import ContractViolation, MalformedResponse, RateLimited
-from .model import BranchGap, FeedbackOrigin, FeedbackRefinement, TestCase
+from .model import BranchGap, FeedbackRefinement, TestCase
 from .prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, feedback_prompt
 
 log = logging.getLogger(__name__)
@@ -76,11 +76,10 @@ def _validate(schema_id: SchemaId, payload: dict) -> dict:
             ]
         }
     require(isinstance(payload.get("gap_explanation"), str), "gap_explanation", "a string")
-    for key in ("input_patterns", "prompt_refinements"):
-        items = payload.get(key)
-        require(isinstance(items, list) and all(isinstance(s, str) for s in items),
-                key, "a list of strings")
-    require(bool(payload["prompt_refinements"]), "prompt_refinements", "at least one item")
+    items = payload.get("prompt_refinements")
+    require(isinstance(items, list) and all(isinstance(s, str) for s in items),
+            "prompt_refinements", "a list of strings")
+    require(bool(items), "prompt_refinements", "at least one item")
     return payload
 
 
@@ -156,22 +155,14 @@ def parse_and_filter(
     cache: TestSuiteCache,
     expected_count: int | None = None,
 ) -> list[TestCase]:
-    """Keep only cases whose canonical key is new to the cache.
-
-    Within-payload duplicates collapse to their first occurrence. The cache
-    itself is not modified; insertion is the loop driver's step.
+    """Insert the reply's cases into the cache; return, in reply order, the
+    ones it added. A case whose canonical key the cache already holds, from
+    an earlier reply or from earlier in this one, is dropped.
     """
     if raw.parsed is None or "test_cases" not in raw.parsed:
         raise ContractViolation("response has no validated test_cases payload")
-    fresh: list[TestCase] = []
-    seen: set[tuple[str, ...]] = set()
-    for tc in cases_from_payload(raw.parsed, expected_count):
-        key = canonical_key(tc)
-        if key in cache or key in seen:
-            continue
-        seen.add(key)
-        fresh.append(tc)
-    return fresh
+    return [tc for tc in cases_from_payload(raw.parsed, expected_count)
+            if cache.insert_if_novel(tc)]
 
 
 def line_feedback(
@@ -187,8 +178,7 @@ def line_feedback(
         str(n) for n in sorted(missing_lines)
     )
     prompt = feedback_prompt("statement", source, gap_line, current_prompt)
-    response = complete(backend, prompt, SchemaId.REFINEMENT)
-    return _refinement_from_payload(FeedbackOrigin.LINE, response.parsed)
+    return _refinement(complete(backend, prompt, SchemaId.REFINEMENT).parsed)
 
 
 def branch_feedback(
@@ -206,14 +196,8 @@ def branch_feedback(
         f"line {gap.line} arm {gap.branch_id}" for gap in sorted(missing_branches)
     )
     prompt = feedback_prompt("branch", source, gap_line, current_prompt)
-    response = complete(backend, prompt, SchemaId.REFINEMENT)
-    return _refinement_from_payload(FeedbackOrigin.BRANCH, response.parsed)
+    return _refinement(complete(backend, prompt, SchemaId.REFINEMENT).parsed)
 
 
-def _refinement_from_payload(origin: FeedbackOrigin, payload: dict) -> FeedbackRefinement:
-    return FeedbackRefinement(
-        origin=origin,
-        gap_explanation=payload["gap_explanation"],
-        input_patterns=tuple(payload["input_patterns"]),
-        prompt_refinements=tuple(payload["prompt_refinements"]),
-    )
+def _refinement(payload: dict) -> FeedbackRefinement:
+    return FeedbackRefinement(payload["gap_explanation"], tuple(payload["prompt_refinements"]))

@@ -164,7 +164,6 @@ def _stub_refinement(prompt: str) -> dict:
     gap_lines = _extract_gap_lines(prompt)
     ints: set[int] = set()
     chars: set[str] = set()
-    patterns: list[str] = []
     if source and gap_lines:
         src_lines = source.split("\n")
         window: set[int] = set()
@@ -186,7 +185,6 @@ def _stub_refinement(prompt: str) -> dict:
                     ints.update((value - 1, value, value + 1))
             for a, b in _CHAR_COMPARISON_RE.findall(text):
                 chars.add(a or b)
-        patterns = [f"inputs matching comparisons near line {line}" for line in gap_lines]
 
     refinements = [f"try integer input {v}" for v in sorted(ints)]
     refinements += [f"try char input '{c}'" for c in sorted(chars)]
@@ -201,12 +199,7 @@ def _stub_refinement(prompt: str) -> dict:
             "inputs lack diversity."
         )
         refinements = ["increase value diversity: repeat boundary extremes"]
-        patterns = patterns or ["wider spread of boundary values"]
-    return {
-        "gap_explanation": explanation,
-        "input_patterns": patterns,
-        "prompt_refinements": refinements,
-    }
+    return {"gap_explanation": explanation, "prompt_refinements": refinements}
 
 
 def _extract_block(prompt: str, start_anchor: str, end_anchors: tuple[str, ...]) -> str:

@@ -1,9 +1,10 @@
 """Duplicate filtering and persistence for generated test cases.
 
-Canonical keys are trimmed string tuples held in a set, so membership checks
-stay constant-time no matter how large the suite grows. Only novel cases are
-kept (insertion order preserved) and written to disk; the cache contents are
-also rendered back into prompts to steer generation away from explored values.
+The cache is one insertion-ordered dict from canonical key (a tuple of
+trimmed strings) to the first case that had it, so a duplicate check stays
+constant-time however large the suite grows. It is the one place the loop
+decides whether a case is new. Its keys are also rendered back into prompts
+to steer generation away from explored values.
 """
 
 from __future__ import annotations
@@ -33,48 +34,37 @@ class TestSuiteCache:
     """Insertion-ordered store of novel test cases with O(1) duplicate lookup."""
 
     def __init__(self) -> None:
-        self._keys: set[CanonicalKey] = set()
-        self._ordered: list[TestCase] = []
+        self._cases: dict[CanonicalKey, TestCase] = {}
 
     def __len__(self) -> int:
-        return len(self._ordered)
-
-    def __contains__(self, key: CanonicalKey) -> bool:
-        return key in self._keys
+        return len(self._cases)
 
     @property
     def ordered(self) -> tuple[TestCase, ...]:
-        return tuple(self._ordered)
-
-    def snapshot(self) -> TestSuiteCache:
-        """A copy that later inserts into this cache leave unchanged."""
-        copy = TestSuiteCache()
-        copy._keys = set(self._keys)
-        copy._ordered = list(self._ordered)
-        return copy
+        return tuple(self._cases.values())
 
     def insert_if_novel(self, tc: TestCase) -> bool:
         """Append and return True when unseen; return False untouched otherwise."""
         key = canonical_key(tc)
-        if key in self._keys:
+        if key in self._cases:
             return False
-        self._keys.add(key)
-        self._ordered.append(tc)
+        self._cases[key] = tc
         return True
 
-    def persist_novel(self, dir: str | Path, since_index: int) -> list[Path]:
-        """Write cases from since_index onward, one file per case.
+    @staticmethod
+    def persist_novel(cases: list[TestCase], dir: str | Path, first_index: int) -> list[Path]:
+        """Write each case to a file of its own, numbering from first_index.
 
         Files are named test_<global_index>.txt with a zero-padded 4-digit
         index; content is one stdin value per line, LF endings, UTF-8.
         """
         directory = Path(dir)
         written: list[Path] = []
-        for index in range(since_index, len(self._ordered)):
+        for index, tc in enumerate(cases, start=first_index):
             path = directory / f"test_{index:04d}.txt"
             try:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(self._ordered[index].stdin_payload())
+                    fh.write(tc.stdin_payload())
             except OSError as exc:
                 raise PersistError(f"cannot write test case file {path}: {exc}") from exc
             written.append(path)
@@ -86,7 +76,7 @@ class TestSuiteCache:
         Older entries collapse into a trailing "(+N older)" marker so prompt
         size stays bounded.
         """
-        keys = [canonical_key(tc) for tc in self._ordered]
+        keys = list(self._cases)
         omitted = max(0, len(keys) - limit)
         shown = keys[omitted:]
         parts = [render_key(k) for k in shown]

@@ -1,10 +1,10 @@
 """The bounded generate/execute/evaluate/refine loop for one target.
 
 Per iteration: render the prompt (baseline plus the latest focus section and
-cache summary), ask the generator for candidates, keep only novel ones,
-persist and execute them against the cumulative instrumented target, evaluate
-coverage, and stop once the combined line/branch percentage reaches the
-threshold or the iteration cap runs out. Otherwise both gap analysts run (in
+cache summary), ask the generator for candidates, add the novel ones to the
+cache, persist and execute them against the cumulative instrumented target,
+evaluate coverage, and stop once the combined line/branch percentage reaches
+the threshold or the iteration cap runs out. Otherwise both gap analysts run (in
 parallel, each only when its gap set is non-empty) and their refinements
 replace the focus section for the next round.
 
@@ -23,15 +23,16 @@ all-zero report of a target no test has run yet is collected only when an
 iteration or the result needs it. The analysts do not run after the last
 iteration, because no later prompt would read their output.
 
-Each iteration's new test cases are written on a one-worker thread pool
-that the run opens next to its prepared target, so creating their files
-overlaps the iteration's tests and coverage collection. At most one write is
-pending: the loop waits for it once collection is done, before it writes the
-iteration's coverage artifact. So every write is done before each backend
-request and before `run_loop` returns, and a failed write ends the run
-before another request is sent. If the loop itself raises while a write is
-pending, leaving the pool waits for the write and drops its error, so the
-loop's error is the one that propagates. The prompt and the coverage
+Each iteration's new test cases are written on a one-worker thread pool that
+the run opens next to its prepared target, so creating their files overlaps
+the iteration's tests and coverage collection. The writer gets the
+iteration's own list of new cases, which nothing changes afterwards. At most
+one write is pending: the loop waits for it once collection is done, before
+it writes the iteration's coverage artifact. So every write is done before
+each backend request and before `run_loop` returns, and a failed write ends
+the run before another request is sent. If the loop itself raises while a
+write is pending, leaving the pool waits for the write and drops its error,
+so the loop's error is the one that propagates. The prompt and the coverage
 artifact are written on the loop's own thread: the loop would wait for them
 at once, so handing them over would add only a thread wake-up each, whose
 latency varies from one write to the next.
@@ -50,7 +51,7 @@ from . import agents, evaluator, harness
 from .analyzer import detect_language, extract_input_signature
 from .backends import CompletionBackend, SchemaId, make_backend
 from .cache import TestSuiteCache
-from .errors import BackendError
+from .errors import BackendError, ContractViolation
 from .model import (
     CoverageReport,
     FeedbackRefinement,
@@ -93,7 +94,10 @@ def run_loop(
     started = time.monotonic()
     source_path = Path(source_path)
     language = detect_language(source_path)
-    source = source_path.read_text(encoding="utf-8")
+    try:
+        source = source_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{source_path} is not UTF-8 text: {exc}") from exc
     signature, warnings = extract_input_signature(source, language)
     for warning in warnings:
         log.info("analyzer: %s (line %s)", warning.message, warning.line)
@@ -148,11 +152,9 @@ def _iterate(
             termination = Termination.BACKEND_FAILURE
             break
 
-        novel = agents.parse_and_filter(response, cache, signature.count)
         since = len(cache)
-        for tc in novel:
-            cache.insert_if_novel(tc)
-        written = writer.submit(TestSuiteCache.persist_novel, cache.snapshot(),
+        novel = agents.parse_and_filter(response, cache, signature.count)
+        written = writer.submit(TestSuiteCache.persist_novel, novel,
                                 target.testcases_dir, since) if novel else None
 
         for tc in novel:

@@ -38,11 +38,6 @@ class Termination(enum.Enum):
     STAGNATED = "stagnated"
 
 
-class FeedbackOrigin(enum.Enum):
-    LINE = "line"
-    BRANCH = "branch"
-
-
 def total_coverage(line_pct: float, branch_pct: float) -> float:
     """Combine line and branch percentages into the single loop-exit metric.
 
@@ -157,14 +152,17 @@ class CoverageReport:
 class FeedbackRefinement:
     """Structured output of one feedback agent."""
 
-    origin: FeedbackOrigin
     gap_explanation: str
-    input_patterns: tuple[str, ...]
     prompt_refinements: tuple[str, ...]
 
     def __post_init__(self):
         if not self.prompt_refinements:
             raise ContractViolation("a feedback refinement must propose something")
+
+
+# Longest per-test timeout, in seconds: the test server waits for a reply with
+# poll(), which takes at most 2**31 - 1 ms, timeout and grace period together.
+MAX_TEST_TIMEOUT = 86400.0
 
 
 @dataclass(frozen=True)
@@ -188,6 +186,9 @@ class RunConfig:
             raise ContractViolation(f"k_max must be >= 1: {self.k_max}")
         if self.per_test_timeout <= 0:
             raise ContractViolation("per_test_timeout must be positive")
+        if not self.per_test_timeout <= MAX_TEST_TIMEOUT:
+            raise ContractViolation(f"per_test_timeout must be at most "
+                                    f"{MAX_TEST_TIMEOUT:g} seconds: {self.per_test_timeout}")
 
 
 @dataclass(frozen=True)

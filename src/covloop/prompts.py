@@ -40,15 +40,13 @@ INPUT_KIND_RE = re.compile(
 class PromptBundle:
     """The structured generation prompt for one iteration."""
 
-    base_text: str
     input_section: str
     cache_section: str
     focus_section: str | None
-    signature: InputSignature
 
     def render(self) -> str:
         parts = [
-            self.base_text,
+            OPENING,
             self.input_section,
             DIVERSITY_INSTRUCTION,
             OUTPUT_FORMAT_INSTRUCTION,
@@ -67,11 +65,9 @@ def build_baseline_prompt(sig: InputSignature, cache_summary: str) -> PromptBund
         lines.append(f"  Input #{i}: expects {kind.value}")
     cache_section = f"{CACHE_HEADER} {cache_summary}" if cache_summary else CACHE_HEADER
     return PromptBundle(
-        base_text=OPENING,
         input_section="\n".join(lines),
         cache_section=cache_section,
         focus_section=None,
-        signature=sig,
     )
 
 
@@ -109,8 +105,8 @@ def feedback_prompt(kind: str, source: str, gap_line: str, current_prompt: str) 
             "Explain why the gaps were not reached and propose concrete prompt",
             "refinements that will steer input generation into them.",
             "Respond with a JSON object of this exact shape:",
-            '{"gap_explanation": string, "input_patterns": [string],',
-            ' "prompt_refinements": [string]} with prompt_refinements non-empty.',
+            '{"gap_explanation": string, "prompt_refinements": [string]}',
+            "with prompt_refinements non-empty.",
             SOURCE_ANCHOR,
             source,
             gap_line,

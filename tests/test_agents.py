@@ -22,11 +22,10 @@ from covloop.agents import (
     parse_and_filter,
 )
 from covloop.backends import HttpBackend, SchemaId, StubBackend
-from covloop.cache import TestSuiteCache, canonical_key
+from covloop.cache import TestSuiteCache
 from covloop.errors import ContractViolation, MalformedResponse, TransportError
 from covloop.model import (
     BranchGap,
-    FeedbackOrigin,
     InputKind,
     InputSignature,
     TestCase,
@@ -94,7 +93,7 @@ class TestComplete:
 
     def test_refinement_requires_nonempty_proposals(self):
         payload = json.dumps(
-            {"gap_explanation": "g", "input_patterns": [], "prompt_refinements": []}
+            {"gap_explanation": "g", "prompt_refinements": []}
         )
         with pytest.raises(MalformedResponse):
             complete(ScriptedBackend([payload]), "p", SchemaId.REFINEMENT)
@@ -102,7 +101,6 @@ class TestComplete:
 
 REFINEMENT_OK = {
     "gap_explanation": "g",
-    "input_patterns": ["p"],
     "prompt_refinements": ["r"],
 }
 
@@ -124,11 +122,11 @@ class TestReplyContract:
 
     @pytest.mark.parametrize("payload", [
         _without("gap_explanation"),
-        _without("input_patterns"),
         _without("prompt_refinements"),
         {**REFINEMENT_OK, "gap_explanation": 1},
-        {**REFINEMENT_OK, "input_patterns": ["p", 2]},
         {**REFINEMENT_OK, "prompt_refinements": ["r", None]},
+        {**REFINEMENT_OK, "prompt_refinements": "r"},
+        {**REFINEMENT_OK, "gap_explanation": None},
     ])
     def test_bad_refinement_rejected(self, payload):
         backend = ScriptedBackend([json.dumps(payload)])
@@ -160,10 +158,9 @@ REFERENCE_SCHEMAS = {
     },
     SchemaId.REFINEMENT: {
         "type": "object",
-        "required": ["gap_explanation", "input_patterns", "prompt_refinements"],
+        "required": ["gap_explanation", "prompt_refinements"],
         "properties": {
             "gap_explanation": {"type": "string"},
-            "input_patterns": {"type": "array", "items": {"type": "string"}},
             "prompt_refinements": {
                 "type": "array", "items": {"type": "string"}, "minItems": 1,
             },
@@ -184,7 +181,7 @@ _field_values = st.one_of(
 )
 _payloads = st.dictionaries(
     st.sampled_from([
-        "test_cases", "gap_explanation", "input_patterns", "prompt_refinements", "x",
+        "test_cases", "gap_explanation", "prompt_refinements", "x",
     ]),
     _field_values,
 )
@@ -280,7 +277,8 @@ class TestParseAndFilter:
         fresh = parse_and_filter(
             self.response([[str(i)] for i in range(20)]), cache
         )
-        assert all(canonical_key(tc) not in cache for tc in fresh)
+        assert fresh == [TestCase((str(i),)) for i in range(10, 20)]
+        assert len(cache) == 20
 
     def test_unvalidated_response_rejected(self):
         with pytest.raises(ContractViolation):
@@ -301,7 +299,6 @@ class TestFeedbackAgents:
         refinement = line_feedback(
             StubBackend(), NEGATIVE_GUARD_PY, {3}, "current prompt"
         )
-        assert refinement.origin is FeedbackOrigin.LINE
         assert any("-1" in r for r in refinement.prompt_refinements)
 
     def test_line_feedback_requires_gaps(self):
@@ -313,7 +310,6 @@ class TestFeedbackAgents:
         refinement = branch_feedback(
             StubBackend(), source, [BranchGap(line=1, branch_id=0)], "p"
         )
-        assert refinement.origin is FeedbackOrigin.BRANCH
         assert any("42" in r for r in refinement.prompt_refinements)
 
     def test_branch_feedback_requires_gaps(self):

@@ -69,40 +69,25 @@ class TestInsert:
 
 class TestPersist:
     def test_naming_and_content(self, tmp_path):
-        cache = TestSuiteCache()
-        cache.insert_if_novel(TestCase(("5", "hello")))
-        cache.insert_if_novel(TestCase(("1",)))
-        paths = cache.persist_novel(tmp_path, 0)
+        cases = [TestCase(("5", "hello")), TestCase(("1",))]
+        paths = TestSuiteCache.persist_novel(cases, tmp_path, 0)
         assert [p.name for p in paths] == ["test_0000.txt", "test_0001.txt"]
         assert paths[0].read_text() == "5\nhello\n"
 
     def test_since_index_skips_already_written(self, tmp_path):
-        cache = TestSuiteCache()
-        cache.insert_if_novel(TestCase(("a",)))
-        cache.persist_novel(tmp_path, 0)
-        cache.insert_if_novel(TestCase(("b",)))
-        paths = cache.persist_novel(tmp_path, 1)
+        TestSuiteCache.persist_novel([TestCase(("a",))], tmp_path, 0)
+        paths = TestSuiteCache.persist_novel([TestCase(("b",))], tmp_path, 1)
         assert [p.name for p in paths] == ["test_0001.txt"]
+        assert (tmp_path / "test_0000.txt").read_text() == "a\n"
 
     def test_since_index_at_end_writes_nothing(self, tmp_path):
-        cache = TestSuiteCache()
-        cache.insert_if_novel(TestCase(("a",)))
-        assert cache.persist_novel(tmp_path, 1) == []
-
-    def test_snapshot_keeps_its_cases_when_the_cache_grows(self, tmp_path):
-        cache = TestSuiteCache()
-        cache.insert_if_novel(TestCase(("a",)))
-        snapshot = cache.snapshot()
-        cache.insert_if_novel(TestCase(("b",)))
-        assert (len(snapshot), ("b",) in snapshot) == (1, False)
-        assert [p.name for p in snapshot.persist_novel(tmp_path, 0)] == ["test_0000.txt"]
+        assert TestSuiteCache.persist_novel([], tmp_path, 1) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_directory_raises(self, tmp_path):
-        cache = TestSuiteCache()
-        cache.insert_if_novel(TestCase(("a",)))
         missing = tmp_path / "not" / "created"
         with pytest.raises(PersistError) as exc:
-            cache.persist_novel(missing, 0)
+            TestSuiteCache.persist_novel([TestCase(("a",))], missing, 0)
         assert "test_0000.txt" in str(exc.value)
 
 

@@ -12,11 +12,19 @@ from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_inter
 from covloop.cli import main
 
 
+TIMEOUT_LIMIT = "argument --timeout: per_test_timeout must be at most 86400 seconds: "
 OUT_OF_RANGE = pytest.mark.parametrize("flag, value, message", [
     ("--max-iters", "0", "argument --max-iters: k_max must be >= 1: 0"),
     ("--threshold", "0", "argument --threshold: threshold must be in (0, 100]: 0.0"),
     ("--timeout", "-1", "argument --timeout: per_test_timeout must be positive"),
+    ("--timeout", "inf", TIMEOUT_LIMIT + "inf"),
+    ("--timeout", "nan", TIMEOUT_LIMIT + "nan"),
+    ("--timeout", "1e300", TIMEOUT_LIMIT + "1e+300"),
+    ("--timeout", "3000000", TIMEOUT_LIMIT + "3000000.0"),
 ])
+
+# A C program that gcc compiles, with a Latin-1 "e acute" in a comment.
+LATIN1_C = b"/* caf\xe9 */\n" + GUARD_C.encode()
 
 
 class TestRunCommand:
@@ -101,6 +109,15 @@ class TestRunCommand:
             main(["run", str(guard_c), "--backend", "carrier-pigeon"])
         assert exc.value.code == 64
 
+    def test_source_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "latin1.c"
+        target.write_bytes(LATIN1_C)
+        code = main(["run", str(target), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {target} is not UTF-8 text: ")
+        assert "Traceback" not in err
+
     @OUT_OF_RANGE
     def test_out_of_range_flag_exits_64(self, tmp_path, guard_c, capsys, flag, value, message):
         out = tmp_path / "out"
@@ -177,6 +194,16 @@ class TestBenchCommand:
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
         assert any(row.startswith("broken,-,ERROR,ERROR") for row in rows)
+
+    def test_source_that_is_not_utf8_is_an_error_row(self, tmp_path, bench_dir):
+        (bench_dir / "echo.c").unlink()
+        (bench_dir / "latin1.c").write_bytes(LATIN1_C)
+        out = tmp_path / "out"
+        assert main(["bench", str(bench_dir), "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["guard", "-", "100.00", "100.00"], ["latin1", "-", "ERROR", "ERROR"],
+        ]
 
     def test_bound_label_from_subdirectory(self, tmp_path):
         suite = tmp_path / "suite"

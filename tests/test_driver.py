@@ -312,9 +312,9 @@ def slow_writes(monkeypatch):
     time to finish and hide a missing wait."""
     persist_novel = TestSuiteCache.persist_novel
 
-    def slow(cache, directory, since_index):
-        time.sleep(0.02 + 0.002 * (len(cache) - since_index))
-        return persist_novel(cache, directory, since_index)
+    def slow(cases, directory, first_index):
+        time.sleep(0.02 + 0.002 * len(cases))
+        return persist_novel(cases, directory, first_index)
 
     monkeypatch.setattr(TestSuiteCache, "persist_novel", slow)
 

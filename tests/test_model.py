@@ -8,7 +8,6 @@ from covloop.errors import ContractViolation
 from covloop.model import (
     BranchGap,
     CoverageReport,
-    FeedbackOrigin,
     FeedbackRefinement,
     InputKind,
     InputSignature,
@@ -155,7 +154,7 @@ class TestIterationRecord:
 
 def test_refinement_requires_proposals():
     with pytest.raises(ContractViolation):
-        FeedbackRefinement(FeedbackOrigin.LINE, "gap", (), ())
+        FeedbackRefinement("gap", ())
 
 
 def test_format_pct_renders_two_decimals():

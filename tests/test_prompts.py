@@ -1,12 +1,7 @@
 """Tests for baseline prompt construction and refinement merging."""
 
 from covloop.backends import _prompt_kinds
-from covloop.model import (
-    FeedbackOrigin,
-    FeedbackRefinement,
-    InputKind,
-    InputSignature,
-)
+from covloop.model import FeedbackRefinement, InputKind, InputSignature
 from covloop.prompts import build_baseline_prompt, merge_refinements
 
 SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
@@ -15,15 +10,11 @@ SIG_ALL = InputSignature(len(InputKind), tuple(InputKind))
 
 
 def line_fb(*refinements):
-    return FeedbackRefinement(
-        FeedbackOrigin.LINE, "lines were skipped", ("p",), refinements
-    )
+    return FeedbackRefinement("lines were skipped", refinements)
 
 
 def branch_fb(*refinements):
-    return FeedbackRefinement(
-        FeedbackOrigin.BRANCH, "arms were skipped", ("p",), refinements
-    )
+    return FeedbackRefinement("arms were skipped", refinements)
 
 
 class TestBaselinePrompt:
