@@ -188,6 +188,7 @@ def serve(control: int, status: int, hits_path: str, script_path: str,
         pid = os.fork()
         if pid == 0:
             os.setpgid(0, 0)
+            os.dup2(1, 2)  # stdout is /dev/null: covloop reads no test's output
             signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
             for fd in (control, status, go_w):
                 os.close(fd)

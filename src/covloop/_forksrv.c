@@ -64,6 +64,7 @@ __attribute__((constructor)) static void covloop_forksrv(int argc, char **argv, 
             /* The pre-forked child: one test, in a process group of its own,
                killed if the server dies before it. */
             syscall(SYS_setpgid, 0, 0);
+            syscall(SYS_dup3, 1, 2, 0); /* stdout is /dev/null: covloop reads no test's output */
             syscall(SYS_prctl, PR_SET_PDEATHSIG, SIGKILL);
             syscall(SYS_close, fds[0]);
             syscall(SYS_close, fds[1]);

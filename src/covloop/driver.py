@@ -95,7 +95,7 @@ def run_loop(
     source_path = Path(source_path)
     language = detect_language(source_path)
     try:
-        source = source_path.read_text(encoding="utf-8")
+        source = source_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"{source_path} is not UTF-8 text: {exc}") from exc
     signature, warnings = extract_input_signature(source, language)

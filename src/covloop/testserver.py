@@ -14,8 +14,11 @@ serves until its control pipe closes:
   group and reaps the child; being the child's parent, it kills before it
   reaps, so no pid can have been reused. It answers on the status pipe with
   two C ints: the wait status, and 1 if the test timed out.
-- stdin, stdout and stderr are anonymous files shared by covloop, the server
-  and its children, and rewound here before each test.
+- A test's stdin is an anonymous file that covloop rewrites and rewinds
+  before each test. Its stdout and stderr are /dev/null: the server starts
+  with stdout there, and each child points its stderr at it before it waits
+  for its go byte. The server's own stderr is an anonymous file, whose tail
+  covloop reports if the server fails.
 - At end of file on the control pipe, the server closes the idle child's go
   pipe, so the child ends with `_exit` before running any of the target (a C
   child writes no `.gcda`), reaps it, and exits.
@@ -42,16 +45,16 @@ class TestServer:
     """The long-lived process that forks each test of one target."""
 
     def __init__(self, argv: tuple[str, ...], cwd: Path):
-        self._stdio = [_scratch_fd(name) for name in ("stdin", "stdout", "stderr")]
+        self._stdin, self._stderr = _scratch_fd("stdin"), _scratch_fd("stderr")
         control_r, self._control = os.pipe()
         self._status, status_w = os.pipe()
         try:
             self._proc = subprocess.Popen(
-                argv, stdin=self._stdio[0], stdout=self._stdio[1], stderr=self._stdio[2],
+                argv, stdin=self._stdin, stdout=subprocess.DEVNULL, stderr=self._stderr,
                 cwd=cwd, pass_fds=(control_r, status_w),
                 env={**os.environ, SERVER_ENV: f"{control_r},{status_w}"})
         except OSError as exc:
-            for fd in (*self._stdio, self._control, self._status):
+            for fd in (self._stdin, self._stderr, self._control, self._status):
                 os.close(fd)
             raise SpawnError(f"cannot launch {argv[0]}: {exc}") from exc
         finally:
@@ -60,15 +63,11 @@ class TestServer:
         self._replies = select.poll()
         self._replies.register(self._status, select.POLLIN)
 
-    def run(self, payload: bytes, timeout: float) -> tuple[int | None, bytes, bytes]:
-        """(exit status or None on timeout, stdout, stderr) of one test."""
-        stdin, stdout, stderr = self._stdio
-        os.pwrite(stdin, payload, 0)
-        os.ftruncate(stdin, len(payload))
-        os.ftruncate(stdout, 0)
-        os.ftruncate(stderr, 0)
-        for fd in self._stdio:
-            os.lseek(fd, 0, os.SEEK_SET)
+    def run(self, payload: bytes, timeout: float) -> int | None:
+        """The exit status of one test, or None if it timed out."""
+        os.pwrite(self._stdin, payload, 0)
+        os.ftruncate(self._stdin, len(payload))
+        os.lseek(self._stdin, 0, os.SEEK_SET)
         seconds, fraction = divmod(timeout, 1)
         try:
             os.write(self._control, struct.pack("@ll", int(seconds), int(fraction * 1e9)))
@@ -80,12 +79,12 @@ class TestServer:
         if not reply:
             raise self._failure("exited")
         wait_status, timed_out = struct.unpack("@ii", reply)
-        exit_status = None if timed_out else os.waitstatus_to_exitcode(wait_status)
-        return exit_status, _read_all(stdout), _read_all(stderr)
+        return None if timed_out else os.waitstatus_to_exitcode(wait_status)
 
     def _failure(self, what: str) -> SpawnError:
-        detail = _read_all(self._stdio[2]).decode("utf-8", "replace").strip()
-        return SpawnError(f"test server for {self._proc.args[-1]} {what}: {detail[-500:]}")
+        tail = os.pread(self._stderr, 500, max(0, os.fstat(self._stderr).st_size - 500))
+        detail = tail.decode("utf-8", "replace").strip()
+        return SpawnError(f"test server for {self._proc.args[-1]} {what}: {detail}")
 
     def close(self) -> None:
         """Stop the server, its idle child first; kill it after SERVER_GRACE."""
@@ -97,7 +96,7 @@ class TestServer:
                 self._proc.kill()
             self._proc.wait()
         finally:
-            for fd in (*self._stdio, self._status):
+            for fd in (self._stdin, self._stderr, self._status):
                 os.close(fd)
 
 
@@ -107,7 +106,3 @@ def _scratch_fd(name: str) -> int:
         return os.memfd_create(f"covloop-{name}")
     with tempfile.TemporaryFile() as file:
         return os.dup(file.fileno())
-
-
-def _read_all(fd: int) -> bytes:
-    return os.pread(fd, os.fstat(fd).st_size, 0)

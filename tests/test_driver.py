@@ -1,5 +1,6 @@
 """End-to-end loop driver tests against the offline backends."""
 
+import codecs
 import ctypes
 import json
 import os
@@ -42,6 +43,19 @@ class TestGuardTarget:
         payload = json.loads((workdir / "result.json").read_text())
         assert payload["termination"] == "threshold_met"
         assert len(payload["iterations"]) == len(result.iterations)
+
+
+class TestSourceEncoding:
+    @pytest.mark.parametrize("fixture", ["guard_c", "guard_py"])
+    def test_a_byte_order_mark_changes_nothing(self, tmp_path, request, fixture):
+        source = request.getfixturevalue(fixture)
+        marked = tmp_path / "marked" / source.name
+        marked.parent.mkdir()
+        marked.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        plain = run_loop(make_config(tmp_path, workdir=tmp_path / "plain_out"), source)
+        result = run_loop(make_config(tmp_path, workdir=tmp_path / "marked_out"), marked)
+        assert result.termination is plain.termination is Termination.THRESHOLD_MET
+        assert result.final_report == plain.final_report
 
 
 class RecordingBackend(CompletionBackend):
@@ -283,6 +297,19 @@ class TestNoProcessOutlivesTheRun:
         assert tests  # a server was started
         with pytest.raises(ChildProcessError):  # no child, running or exited
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+    @pytest.mark.parametrize("fixture", ["guard_c", "guard_py"])
+    @EVERY_ENDING
+    def test_every_ending_closes_its_descriptors(self, tmp_path, request, fixture,
+                                                 make_backend, ending):
+        source = request.getfixturevalue(fixture)
+        before = sorted(os.listdir("/proc/self/fd"))
+        if isinstance(ending, Termination):
+            run_loop(make_config(tmp_path), source, backend=make_backend())
+        else:
+            with pytest.raises(ending):
+                run_loop(make_config(tmp_path), source, backend=make_backend())
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 # Sixteen guards on two inputs: the analysts quote sixteen constants, and the

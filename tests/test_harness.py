@@ -4,6 +4,7 @@ import json
 import os
 import re
 import subprocess
+import sys
 import threading
 import time
 
@@ -238,11 +239,10 @@ class TestPrepareTarget:
 
 class TestRunTest:
     def test_echo_roundtrip(self, tmp_path):
-        target = prepare_c(tmp_path)
+        target = prepare_c(tmp_path, EXIT_WITH_INPUT_C, "exits.c")
         outcome = harness.run_test(target, TestCase(("5",)), timeout=5.0)
-        assert outcome.exit_status == 0
+        assert outcome.exit_status == 5
         assert not outcome.timed_out
-        assert b"5" in outcome.stdout_bytes
 
     def test_timeout_kills_and_records(self, tmp_path):
         target = prepare_c(tmp_path, SPIN_FOREVER_C, "spin.c")
@@ -252,7 +252,7 @@ class TestRunTest:
         assert 0.9 <= outcome.duration <= 3.0
 
     def test_timeout_after_closing_its_output(self, tmp_path):
-        # The pipes reach end of file long before the child exits.
+        # The test closes its stdout and stderr long before it exits.
         source = ("#include <stdio.h>\n"
                   "int main(void) { fclose(stdout); fclose(stderr); for (;;); }\n")
         target = prepare_c(tmp_path, source, "quiet_spin.c")
@@ -282,10 +282,9 @@ class TestRunTest:
         assert first.exit_status == second.exit_status == 0
 
     def test_python_runs_under_tracer(self, tmp_path):
-        target = prepare_py(tmp_path, "print(int(input()) * 2)\n")
+        target = prepare_py(tmp_path, "raise SystemExit(int(input()) * 2)\n")
         outcome = harness.run_test(target, TestCase(("21",)), timeout=10.0)
-        assert outcome.exit_status == 0
-        assert outcome.stdout_bytes.strip() == b"42"
+        assert outcome.exit_status == 42
         assert target.data_store.exists()
 
     def test_python_timeout_keeps_the_lines_it_reached(self, tmp_path):
@@ -300,7 +299,19 @@ class TestRunTest:
         assert report.missing_lines == frozenset()
 
 
-# Forks a child that would sleep for a minute, prints its pid, then spins.
+# Exits with the number it reads.
+EXIT_WITH_INPUT_C = """\
+#include <stdio.h>
+
+int main(void) {
+    int x = 0;
+    scanf("%d", &x);
+    return x;
+}
+"""
+
+# Forks a child that would sleep for a minute, writes its pid to the file
+# `sleeper` in the current directory, then spins.
 FORK_A_SLEEPER_C = """\
 #include <stdio.h>
 #include <unistd.h>
@@ -311,8 +322,9 @@ int main(void) {
         sleep(60);
         return 0;
     }
-    printf("%d\\n", (int)pid);
-    fflush(stdout);
+    FILE *out = fopen("sleeper", "w");
+    fprintf(out, "%d\\n", (int)pid);
+    fclose(out);
     for (;;);
 }
 """
@@ -339,18 +351,29 @@ int main(void) {
         write(x * 2);
     else
         write(-x);
-    return 0;
+    return x;
 }
 """
 
-PRINT_PIDS_C = """\
+# Writes its pid and its parent's to a file named after its pid.
+PIDS_TO_FILE_C = """\
 #include <stdio.h>
 #include <unistd.h>
 
 int main(void) {
-    printf("%d %d\\n", (int)getpid(), (int)getppid());
+    char name[32];
+    snprintf(name, sizeof name, "pid_%d", (int)getpid());
+    FILE *out = fopen(name, "w");
+    fprintf(out, "%d %d\\n", (int)getpid(), (int)getppid());
+    fclose(out);
     return 0;
 }
+"""
+
+PIDS_TO_FILE_PY = """\
+import os
+with open(f"pid_{os.getpid()}", "w") as out:
+    print(os.getpid(), os.getppid(), file=out)
 """
 
 KILL_PARENT_ON_NEGATIVE_C = """\
@@ -365,8 +388,7 @@ int main(void) {
         kill(getppid(), SIGKILL);
         pause();
     }
-    printf("%d\\n", x);
-    return 0;
+    return x;
 }
 """
 
@@ -385,7 +407,7 @@ class TestTestServer:
         target = prepare_c(tmp_path, FORK_A_SLEEPER_C, "forks.c")
         outcome = harness.run_test(target, TestCase(("1",)), timeout=1.0)
         assert outcome.timed_out
-        grandchild = int(outcome.stdout_bytes)
+        grandchild = int((target.build_dir / "sleeper").read_text())
         try:
             # A killed orphan may stay a zombie until init reaps it.
             deadline = time.monotonic() + 5.0
@@ -405,27 +427,30 @@ class TestTestServer:
         for cmd in (["gcc", *harness.GCC_COVERAGE_FLAGS, "-c", "rw.c", "-o", "rw.o"],
                     ["gcc", "-fprofile-arcs", "rw.o", "-o", "plain"]):
             subprocess.run(cmd, cwd=plain.build_dir, check=True)
-        for value, expected in (("5", b"10\n"), ("1", b"-1\n")):
+        for value in ("5", "1"):
             outcome = harness.run_test(target, TestCase((value,)), timeout=5.0)
             direct = subprocess.run(["./plain"], input=f"{value}\n".encode(),
-                                    cwd=plain.build_dir, capture_output=True, check=True)
-            assert outcome.stdout_bytes == direct.stdout == expected
+                                    cwd=plain.build_dir, capture_output=True)
+            assert outcome.exit_status == direct.returncode == int(value)
         served = harness.collect_raw_coverage(target)
         assert served["lines"] == harness.collect_raw_coverage(plain)["lines"]
         assert parse_gcov(served).missing_lines == frozenset({7})  # scanf never failed
 
     @pytest.mark.parametrize("name, source", [
-        ("pids.c", PRINT_PIDS_C),
-        ("pids.py", "import os\nprint(os.getpid(), os.getppid())\n"),
+        ("pids.c", PIDS_TO_FILE_C),
+        ("pids.py", PIDS_TO_FILE_PY),
     ], ids=["c", "python"])
     def test_tests_fork_from_one_server(self, tmp_path, name, source):
         prepare = prepare_c if name.endswith(".c") else prepare_py
         target = prepare(tmp_path, source, name)
-        pids = [harness.run_test(target, TestCase(("1",)), timeout=10.0).stdout_bytes.split()
-                for _ in range(3)]
-        assert len({pid for pid, _ in pids}) == 3
-        assert len({parent for _, parent in pids}) == 1
-        assert int(pids[0][1]) != os.getpid()
+        for _ in range(3):
+            assert harness.run_test(target, TestCase(("1",)), timeout=10.0).exit_status == 0
+        pids = [(path.name, *path.read_text().split())
+                for path in target.build_dir.glob("pid_*")]
+        assert all(file_name == f"pid_{pid}" for file_name, pid, _ in pids)
+        assert len({pid for _, pid, _ in pids}) == 3
+        assert len({parent for _, _, parent in pids}) == 1
+        assert int(pids[0][2]) != os.getpid()
 
     def test_only_tests_write_coverage_data(self, tmp_path):
         # Neither the server nor its idle child may run gcov's exit handler,
@@ -440,27 +465,74 @@ class TestTestServer:
 
     def test_python_test_exits_like_the_interpreter(self, tmp_path):
         source = ("import atexit, sys\n"
-                  "atexit.register(print, 'at exit')\n"
-                  "print('body', end=' ')\n"
+                  "def log(text):\n"
+                  "    with open('log', 'a') as out:\n"
+                  "        out.write(text)\n"
+                  "atexit.register(log, 'at exit')\n"
+                  "log('body ')\n"
                   "sys.exit(3)\n")
         target = prepare_py(tmp_path, source)
         outcome = harness.run_test(target, TestCase(("1",)), timeout=10.0)
         assert outcome.exit_status == 3
-        assert outcome.stdout_bytes == b"body at exit\n"
+        assert (target.build_dir / "log").read_text() == "body at exit"
 
     def test_a_test_that_kills_its_server_raises_and_the_next_one_runs(self, tmp_path):
         target = prepare_c(tmp_path, KILL_PARENT_ON_NEGATIVE_C, "killer.c")
         with pytest.raises(SpawnError, match="test server for .*target exited"):
             harness.run_test(target, TestCase(("-1",)), timeout=5.0)
-        assert harness.run_test(target, TestCase(("4",)), timeout=5.0).stdout_bytes == b"4\n"
+        assert harness.run_test(target, TestCase(("4",)), timeout=5.0).exit_status == 4
 
-    def test_stdio_starts_empty_for_each_test(self, tmp_path):
-        source = "import sys\ndata = sys.stdin.read()\nprint(len(data), file=sys.stderr)\nprint(data)\n"
-        target = prepare_py(tmp_path, source)
-        long = harness.run_test(target, TestCase(("x" * 1000,)), timeout=10.0)
+    def test_stdin_holds_only_this_tests_payload(self, tmp_path):
+        target = prepare_py(tmp_path, "import sys\nsys.exit(len(sys.stdin.read()))\n")
+        long = harness.run_test(target, TestCase(("x" * 200,)), timeout=10.0)
         short = harness.run_test(target, TestCase(("y",)), timeout=10.0)
-        assert (long.stdout_bytes, long.stderr_bytes) == (b"x" * 1000 + b"\n\n", b"1001\n")
-        assert (short.stdout_bytes, short.stderr_bytes) == (b"y\n\n", b"2\n")
+        assert (long.exit_status, short.exit_status) == (201, 2)
+
+
+# Prepares the target named on the command line and runs one test of it
+# with a 0.2 s timeout, in a process of its own, so that its peak RSS is
+# the test's cost to covloop; prints timed_out, duration and peak RSS in kB.
+# The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss over an exec,
+# and a child that subprocess starts with vfork would report pytest's peak.
+RUN_ONE_TEST = """\
+import re, sys
+from pathlib import Path
+from covloop import harness
+from covloop.model import Language, TestCase
+
+source = Path(sys.argv[1])
+language = Language.C if source.suffix == ".c" else Language.PYTHON
+with harness.prepare_target(source, language, source.parent / "work") as target:
+    outcome = harness.run_test(target, TestCase(("1",)), timeout=0.2)
+peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1)
+print(outcome.timed_out, outcome.duration, peak_kb)
+"""
+
+# Each writes 8 KiB blocks to stdout or stderr until it is killed.
+FLOOD_C = ("#include <stdio.h>\n"
+           "static char block[1 << 13];\n"
+           "int main(void) { for (;;) fwrite(block, 1, sizeof block, %s); }\n")
+FLOOD_PY = "import sys\nblock = 'x' * (1 << 13)\nwhile True:\n    sys.%s.write(block)\n"
+FLOODS = {
+    "c-stdout": ("flood.c", FLOOD_C % "stdout"),
+    "c-stderr": ("flood.c", FLOOD_C % "stderr"),
+    "python-stdout": ("flood.py", FLOOD_PY % "stdout"),
+    "python-stderr": ("flood.py", FLOOD_PY % "stderr"),
+}
+
+
+class TestHostileOutput:
+    @pytest.mark.parametrize("name, source", FLOODS.values(), ids=FLOODS.keys())
+    def test_output_without_end_costs_neither_time_nor_memory(self, tmp_path, name, source):
+        (tmp_path / name).write_text(source)
+        proc = subprocess.run([sys.executable, "-c", RUN_ONE_TEST, str(tmp_path / name)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        timed_out, duration, peak_kb = proc.stdout.split()
+        assert timed_out == "True"
+        assert float(duration) <= 0.2 + 1.0
+        assert int(peak_kb) < 64 * 1024
 
 
 class TestCollectRawCoverage:
@@ -563,28 +635,28 @@ class TestCollectRawCoverage:
 
 
 
-# Records the process its constructor ran in; main tells whether that was
-# its own process or the test server it was forked from.
+# Records the process its constructor ran in; main exits 7 if that was the
+# test server it was forked from, 8 if it was its own process.
 OWN_CONSTRUCTOR_C = """\
 #include <stdio.h>
 #include <unistd.h>
 
 static pid_t constructed_in;
-
+static int status;
 __attribute__((constructor)) static void construct(void) {
     constructed_in = getpid();
 }
 
 int main(void) {
     if (constructed_in != getpid())
-        printf("inherited\\n");
+        status = 7; /* inherited */
     else
-        printf("own\\n");
-    return 0;
+        status = 8; /* own */
+    return status;
 }
 """
 
-# Leaves the build directory, for one read from stdin, before it exits.
+# Leaves the build directory, for one read from stdin, and exits 9.
 CHDIR_C = """\
 #include <stdio.h>
 #include <unistd.h>
@@ -593,8 +665,7 @@ int main(void) {
     char dir[4096];
     if (scanf("%4095s", dir) != 1 || chdir(dir) != 0)
         return 1;
-    printf("moved\\n");
-    return 0;
+    return 9;
 }
 """
 
@@ -609,7 +680,7 @@ class TestBuild:
         target = prepare_c(tmp_path, OWN_CONSTRUCTOR_C, "ctor.c")
         for _ in range(2):
             outcome = harness.run_test(target, TestCase(("1",)), timeout=5.0)
-            assert (outcome.exit_status, outcome.stdout_bytes) == (0, b"inherited\n")
+            assert outcome.exit_status == 7
         report = parse_gcov(harness.collect_raw_coverage(target))
         assert report.executed_lines == frozenset({6, 7, 8, 10, 11, 12, 15})
         assert report.missing_lines == frozenset({14})
@@ -619,7 +690,7 @@ class TestBuild:
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         outcome = harness.run_test(target, TestCase((str(elsewhere),)), timeout=5.0)
-        assert (outcome.exit_status, outcome.stdout_bytes) == (0, b"moved\n")
+        assert outcome.exit_status == 9
         assert (target.build_dir / "moves.gcda").is_file()
         assert list(elsewhere.iterdir()) == []
         assert parse_gcov(harness.collect_raw_coverage(target)).missing_lines == frozenset({7})
