@@ -21,6 +21,8 @@ from .prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, feedback_pro
 
 log = logging.getLogger(__name__)
 
+# Backend calls per completion, the first one included.
+MAX_ATTEMPTS = 3
 _RATE_LIMIT_SLEEP_CAP = 30.0
 
 _DECODER = json.JSONDecoder()
@@ -94,18 +96,18 @@ def complete(
 ) -> AgentResponse:
     """One schema-validated completion, retrying malformed replies.
 
-    Raises MalformedResponse once max_retries attempts all failed validation;
+    Raises MalformedResponse once MAX_ATTEMPTS attempts all failed validation;
     rate-limit rejections are waited out and retried within the same budget.
     """
     attempts = 0
     last_error = ""
     current_prompt = prompt
-    while attempts < backend.max_retries:
+    while attempts < MAX_ATTEMPTS:
         attempts += 1
         try:
             raw = backend.raw_complete(current_prompt, schema_id)
         except RateLimited as exc:
-            if attempts >= backend.max_retries:
+            if attempts >= MAX_ATTEMPTS:
                 raise
             delay = 1.0 if exc.retry_after is None else exc.retry_after
             time.sleep(min(delay, _RATE_LIMIT_SLEEP_CAP))

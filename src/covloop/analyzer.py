@@ -25,13 +25,14 @@ class AnalyzerWarning:
     line: int | None = None
 
 
-_EXTENSIONS = {".c": Language.C, ".py": Language.PYTHON}
+# A source's suffix decides its language.
+EXTENSIONS = {".c": Language.C, ".py": Language.PYTHON}
 
 
 def detect_language(path: str | Path) -> Language:
     suffix = Path(path).suffix
     try:
-        return _EXTENSIONS[suffix]
+        return EXTENSIONS[suffix]
     except KeyError:
         raise UnsupportedLanguage(
             f"unsupported extension {suffix!r} for {path} (expected .c or .py)"
@@ -46,7 +47,7 @@ def extract_input_signature(
         kinds, warnings = _scan_python(source)
     else:
         kinds, warnings = _scan_c(source)
-    return InputSignature(count=len(kinds), kinds=tuple(kinds)), warnings
+    return InputSignature(tuple(kinds)), warnings
 
 
 # --- Python scanning ---

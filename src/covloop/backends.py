@@ -44,9 +44,6 @@ class SchemaId(enum.Enum):
 class CompletionBackend(abc.ABC):
     """One completion call per request; implementations must be thread-safe."""
 
-    model_id: str
-    max_retries: int
-
     @abc.abstractmethod
     def raw_complete(self, prompt: str, schema_id: SchemaId) -> str:
         """Return the raw completion text for one prompt."""
@@ -81,9 +78,7 @@ _CHAR_COMPARISON_RE = re.compile(r"(?:==|!=)\s*'(.)'|'(.)'\s*(?:==|!=)")
 class StubBackend(CompletionBackend):
     """Deterministic offline backend used by the test suite and `--backend stub`."""
 
-    def __init__(self, model_id: str = "stub", max_retries: int = 3):
-        self.model_id = model_id
-        self.max_retries = max_retries
+    def __init__(self):
         self._lock = threading.Lock()
         self._batch_counter = 0
 
@@ -240,13 +235,7 @@ class HttpBackend(CompletionBackend):
     is read from the COVLOOP_API_KEY environment variable.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model_id: str,
-        max_retries: int = 3,
-        timeout: float = 60.0,
-    ):
+    def __init__(self, endpoint: str, model_id: str, timeout: float = 60.0):
         if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
             raise ContractViolation(
                 f"http backend requires an http(s) endpoint URL, got {endpoint!r}"
@@ -258,7 +247,6 @@ class HttpBackend(CompletionBackend):
             )
         self.endpoint = endpoint
         self.model_id = model_id
-        self.max_retries = max_retries
         self.timeout = timeout
         self._key = key
 
@@ -349,5 +337,5 @@ def _extract_completion_text(body: str) -> str:
 
 def make_backend(config: RunConfig) -> CompletionBackend:
     if config.backend is BackendKind.STUB:
-        return StubBackend(model_id=config.model_id)
+        return StubBackend()
     return HttpBackend(endpoint=config.endpoint or "", model_id=config.model_id)

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .analyzer import _EXTENSIONS
+from .analyzer import EXTENSIONS
 from .driver import RunResult, run_loop
 from .errors import ContractViolation, CovloopError
 from .model import BackendKind, RunConfig, Termination, format_pct
@@ -123,11 +123,11 @@ def _bench_targets(directory: Path, default_bound: str | None):
     """
     targets = []
     for path in sorted(directory.iterdir()):
-        if path.is_file() and path.suffix in _EXTENSIONS:
+        if path.is_file() and path.suffix in EXTENSIONS:
             targets.append((path, default_bound or "-"))
         elif path.is_dir():
             for inner in sorted(path.iterdir()):
-                if inner.is_file() and inner.suffix in _EXTENSIONS:
+                if inner.is_file() and inner.suffix in EXTENSIONS:
                     targets.append((inner, path.name))
     stems = Counter((path.stem, label) for path, label in targets)
     return [(path.stem if stems[path.stem, label] == 1 else path.name, path, label)
@@ -135,6 +135,8 @@ def _bench_targets(directory: Path, default_bound: str | None):
 
 
 def bench_run(args, config: RunConfig) -> int:
+    if args.jobs < 1:
+        args.parser.error(f"argument --jobs: must be >= 1: {args.jobs}")
     directory: Path = args.directory
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -152,7 +154,7 @@ def bench_run(args, config: RunConfig) -> int:
             log.error("target %s failed: %s", path, exc)
             return program, label, f"ERROR: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(one, targets))
     rows.sort(key=lambda r: (r[0], r[1]))
 

@@ -103,7 +103,7 @@ def run_loop(
         log.info("analyzer: %s (line %s)", warning.message, warning.line)
 
     backend = backend or make_backend(config)
-    with (harness.prepare_target(source_path, language, config.workdir) as target,
+    with (harness.prepare_target(source_path, config.workdir) as target,
           ThreadPoolExecutor(max_workers=1, thread_name_prefix="covloop-writer") as writer):
         result = _iterate(config, target, writer, backend, signature, source, started)
     target.result_path.write_text(

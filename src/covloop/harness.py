@@ -51,6 +51,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import pytrace
+from .analyzer import detect_language
 from .errors import (
     CompileError,
     ContractViolation,
@@ -69,10 +70,8 @@ _SHIM_NAME = "_forksrv.c"
 
 @dataclass
 class PreparedTarget:
-    language: Language
     workdir: Path
-    executable_or_script: Path
-    source_name: str = ""
+    source_name: str
     test_argv: tuple[str, ...] = ()  # the command that starts the test server
     _server: TestServer | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -87,6 +86,10 @@ class PreparedTarget:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    @property
+    def language(self) -> Language:
+        return detect_language(self.source_name)
 
     @property
     def build_dir(self) -> Path:
@@ -125,19 +128,21 @@ def check_toolchain(language: Language) -> None:
         for tool in ("gcc", "gcov"):
             if shutil.which(tool) is None:
                 raise MissingToolchain(f"required tool not on PATH: {tool}")
-        if not _accepts_gcov_flags(shutil.which("gcov")):
+        if _gcov_version(shutil.which("gcov")) is None:
             raise MissingToolchain(
                 f"gcov does not accept {' '.join(GCOV_FLAGS)}; GCC 9 or later is needed")
 
 
 @functools.cache
-def _accepts_gcov_flags(gcov: str) -> bool:
-    """Whether `gcov` takes GCOV_FLAGS: it exits 1 at the first unknown option."""
+def _gcov_version(gcov: str) -> str | None:
+    """The version line `gcov` prints, or None if it refuses GCOV_FLAGS: it
+    exits 1 at the first unknown option. So one process checks and names it."""
     try:
-        return subprocess.run([gcov, *GCOV_FLAGS, "--version"], capture_output=True,
-                              timeout=10).returncode == 0
-    except (OSError, subprocess.TimeoutExpired):
-        return False
+        proc = subprocess.run([gcov, *GCOV_FLAGS, "--version"], capture_output=True,
+                              text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.splitlines()[0] if proc.stdout else "unknown"
 
 
 @functools.cache
@@ -157,20 +162,15 @@ def _build_flags() -> list[str]:
     return [*GCC_COVERAGE_FLAGS, "-pipe", *(["-fuse-ld=gold"] if _links_with_gold() else [])]
 
 
-def prepare_target(
-    source_path: str | Path, language: Language, workdir: str | Path
-) -> PreparedTarget:
-    """Set up the workdir and produce an instrumented, runnable target."""
-    check_toolchain(language)
+def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarget:
+    """Set up the workdir and produce an instrumented, runnable target in the
+    language its suffix names."""
     source_path = Path(source_path)
+    language = detect_language(source_path)
+    check_toolchain(language)
     # Targets run from inside the build directory, so paths must not be relative.
     workdir = Path(workdir).resolve()
-    target = PreparedTarget(
-        language=language,
-        workdir=workdir,
-        executable_or_script=workdir,  # placeholder until built below
-        source_name=source_path.name,
-    )
+    target = PreparedTarget(workdir, source_path.name)
     directories = (target.build_dir, target.coverage_dir,
                    target.testcases_dir, target.prompts_dir)
     if any(source_path.resolve().is_relative_to(d) for d in directories):
@@ -194,10 +194,8 @@ def prepare_target(
     shutil.copyfile(source_path, local_source)
 
     if language is Language.C:
-        _compile_c(target, local_source)
-        target.test_argv = (str(target.executable_or_script),)
+        target.test_argv = (str(_compile_c(target, local_source)),)
     else:
-        target.executable_or_script = local_source
         prober = target.build_dir / _PROBER_NAME
         shutil.copyfile(Path(__file__).with_name(_PROBER_NAME), prober)
         # At covloop's own -O level, so the server's probes fold `__debug__`
@@ -215,7 +213,8 @@ def _is_covloop_manifest(path: Path) -> bool:
     return isinstance(manifest, dict) and {"language", "source"} <= manifest.keys()
 
 
-def _compile_c(target: PreparedTarget, local_source: Path) -> None:
+def _compile_c(target: PreparedTarget, local_source: Path) -> Path:
+    """Build the target's binary and return its path."""
     binary = target.build_dir / "target"
     shim = target.build_dir / "_forksrv.o"
     shim.write_bytes(_shim_object())
@@ -230,7 +229,7 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> None:
         raise CompileError(
             f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}"
         )
-    target.executable_or_script = binary
+    return binary
 
 
 _shim_lock = threading.Lock()
@@ -265,7 +264,7 @@ def _write_manifest(target: PreparedTarget) -> None:
     }
     if target.language is Language.C:
         manifest["gcc"] = _tool_version("gcc")
-        manifest["gcov"] = _tool_version("gcov")
+        manifest["gcov"] = _gcov_version(shutil.which("gcov"))
         manifest["build_flags"] = _build_flags()
         manifest["linker"] = "gold" if _links_with_gold() else "default"
         manifest["gcov_flags"] = GCOV_FLAGS
@@ -320,7 +319,7 @@ def collect_raw_coverage(target: PreparedTarget) -> dict:
     """
     if target.language is Language.C:
         return _collect_gcov(target)
-    source = target.executable_or_script.read_text(encoding="utf-8-sig")
+    source = (target.build_dir / target.source_name).read_text(encoding="utf-8-sig")
     return pytrace.build_export(source, target.data_store)
 
 

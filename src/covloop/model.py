@@ -51,18 +51,13 @@ def total_coverage(line_pct: float, branch_pct: float) -> float:
 
 @dataclass(frozen=True)
 class InputSignature:
-    """Number and ordered kinds of stdin reads one execution performs."""
+    """The ordered kinds of the stdin reads one execution performs."""
 
-    count: int
     kinds: tuple[InputKind, ...]
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ContractViolation(f"count must be non-negative, got {self.count}")
-        if len(self.kinds) != self.count:
-            raise ContractViolation(
-                f"kinds length {len(self.kinds)} does not match count {self.count}"
-            )
+    @property
+    def count(self) -> int:
+        return len(self.kinds)
 
 
 @dataclass(frozen=True)

@@ -317,9 +317,7 @@ def make_config(tmp_path, **overrides) -> RunConfig:
 class ScriptedBackend(CompletionBackend):
     """Replays a fixed list of raw completions, then repeats the last one."""
 
-    def __init__(self, replies: list[str], max_retries: int = 3):
-        self.model_id = "scripted"
-        self.max_retries = max_retries
+    def __init__(self, replies: list[str]):
         self.replies = replies
         self.calls = 0
 
@@ -332,9 +330,7 @@ class ScriptedBackend(CompletionBackend):
 class ConstantPayloadBackend(CompletionBackend):
     """Adversarial generator: the same test_cases payload forever."""
 
-    def __init__(self, cases: list[list[str]], max_retries: int = 3):
-        self.model_id = "constant"
-        self.max_retries = max_retries
+    def __init__(self, cases: list[list[str]]):
         self._generated = json.dumps({"test_cases": cases})
         self._stub = StubBackend()
 
@@ -347,10 +343,7 @@ class ConstantPayloadBackend(CompletionBackend):
 class SequentialCasesBackend(CompletionBackend):
     """Emits `fresh` brand-new single-int cases per call, plus optional repeats."""
 
-    def __init__(self, fresh: int, duplicate_fraction: float = 0.0,
-                 max_retries: int = 3):
-        self.model_id = "sequential"
-        self.max_retries = max_retries
+    def __init__(self, fresh: int, duplicate_fraction: float = 0.0):
         self.fresh = fresh
         self.duplicate_fraction = duplicate_fraction
         self._next = 0

@@ -27,7 +27,7 @@ from covloop.evaluator import (
     read_artifact,
 )
 from covloop.harness import collect_raw_coverage, prepare_target, run_test
-from covloop.model import BranchGap, CoverageReport, Language, Termination, TestCase
+from covloop.model import BranchGap, CoverageReport, Termination, TestCase
 
 _ALL_RESULTS: list[RunResult] = []
 
@@ -243,8 +243,7 @@ ORACLE_FIXTURES = [
 def test_criterion_6_parser_oracles(tmp_path):
     for name, source, runs, executed, executable, taken, arms in ORACLE_FIXTURES:
         source_path = write(tmp_path, name, source)
-        language = Language.C if name.endswith(".c") else Language.PYTHON
-        with prepare_target(source_path, language, tmp_path / f"work_{name}") as target:
+        with prepare_target(source_path, tmp_path / f"work_{name}") as target:
             for values in runs:
                 outcome = run_test(target, TestCase(values), timeout=10.0)
                 assert not outcome.timed_out

@@ -32,8 +32,8 @@ from covloop.model import (
 )
 from covloop.prompts import build_baseline_prompt
 
-SIG_1 = InputSignature(1, (InputKind.INTEGER,))
-SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
+SIG_1 = InputSignature((InputKind.INTEGER,))
+SIG_2 = InputSignature((InputKind.INTEGER, InputKind.STRING))
 
 
 class TestExtractJsonObject:
@@ -61,7 +61,7 @@ class TestComplete:
         assert "test_cases" in response.parsed
 
     def test_malformed_forever_exhausts_retries(self):
-        backend = ScriptedBackend(['{"wrong": []}'], max_retries=3)
+        backend = ScriptedBackend(['{"wrong": []}'])
         with pytest.raises(MalformedResponse) as exc:
             complete(backend, "p", SchemaId.TEST_CASES)
         assert exc.value.attempts == 3

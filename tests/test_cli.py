@@ -162,6 +162,16 @@ class TestBenchCommand:
         assert f"covloop bench: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_64_before_out_is_made(self, tmp_path, bench_dir, capsys, jobs):
+        out = tmp_path / "bench_out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(bench_dir), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 64
+        assert (f"covloop bench: error: argument --jobs: must be >= 1: {jobs}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_reports_written_with_one_row_per_target(self, tmp_path, bench_dir, capsys):
         out = tmp_path / "bench_out"
         code = main(["bench", str(bench_dir), "--out", str(out)])

@@ -62,8 +62,6 @@ class RecordingBackend(CompletionBackend):
     """Forwards to an inner backend and records each (schema, prompt) pair."""
 
     def __init__(self, inner: CompletionBackend):
-        self.model_id = inner.model_id
-        self.max_retries = inner.max_retries
         self.inner = inner
         self.requests = []  # list.append is atomic across the analyst threads
 
@@ -256,8 +254,6 @@ class FailingFeedbackBackend(CompletionBackend):
     """Generates with the stub, then raises `error` from the first analyst."""
 
     def __init__(self, error: Exception):
-        self.model_id = "failing"
-        self.max_retries = 3
         self.error = error
         self._stub = StubBackend()
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -25,9 +26,10 @@ from covloop.errors import (
     MissingToolchain,
     SpawnError,
     ToolInvocationError,
+    UnsupportedLanguage,
 )
 from covloop.evaluator import parse_gcov
-from covloop.model import BranchGap, Language, TestCase
+from covloop.model import BranchGap, TestCase
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +51,7 @@ def close_targets(monkeypatch):
 def prepare_c(tmp_path, source=ECHO_C, name="prog.c", work="work"):
     source_path = tmp_path / name
     source_path.write_text(source)
-    return harness.prepare_target(source_path, Language.C, tmp_path / work)
+    return harness.prepare_target(source_path, tmp_path / work)
 
 
 @pytest.fixture(params=["gold", "default"])
@@ -65,13 +67,13 @@ def linker(request, monkeypatch):
 def prepare_py(tmp_path, source, name="prog.py"):
     source_path = tmp_path / name
     source_path.write_text(source)
-    return harness.prepare_target(source_path, Language.PYTHON, tmp_path / "work")
+    return harness.prepare_target(source_path, tmp_path / "work")
 
 
 class TestPrepareTarget:
     def test_c_builds_instrumented_binary(self, tmp_path):
         target = prepare_c(tmp_path)
-        assert target.executable_or_script.exists()
+        assert (target.build_dir / "target").exists()
         assert (target.build_dir / "prog.gcno").exists()
         assert target.testcases_dir.is_dir()
         assert target.coverage_dir.is_dir()
@@ -80,20 +82,27 @@ class TestPrepareTarget:
         bad = tmp_path / "bad.c"
         bad.write_text("int main(void { return 0; }\n")
         with pytest.raises(CompileError) as exc:
-            harness.prepare_target(bad, Language.C, tmp_path / "work")
+            harness.prepare_target(bad, tmp_path / "work")
         assert "error" in str(exc.value)
 
     def test_python_copies_script_and_tracer(self, tmp_path):
         target = prepare_py(tmp_path, "print(input())\n")
-        assert target.executable_or_script.read_text() == "print(input())\n"
+        assert (target.build_dir / "prog.py").read_text() == "print(input())\n"
         assert (target.build_dir / "_covtrace.py").exists()
         assert not target.data_store.exists()  # fresh store, created on first run
+
+    def test_unsupported_suffix_is_refused_before_the_workdir_is_made(self, tmp_path):
+        source = tmp_path / "prog.java"
+        source.write_text("class Prog {}\n")
+        with pytest.raises(UnsupportedLanguage):
+            harness.prepare_target(source, tmp_path / "work")
+        assert not (tmp_path / "work").exists()
 
     def test_source_inside_a_reset_entry_is_refused(self, tmp_path):
         target = prepare_c(tmp_path)
         built_source = target.build_dir / "prog.c"
         with pytest.raises(ContractViolation):
-            harness.prepare_target(built_source, Language.C, target.workdir)
+            harness.prepare_target(built_source, target.workdir)
         assert built_source.read_text() == ECHO_C
 
     def test_refused_source_resets_nothing(self, tmp_path):
@@ -101,7 +110,7 @@ class TestPrepareTarget:
         source = target.prompts_dir / "prog.c"
         source.write_text(ECHO_C)
         with pytest.raises(ContractViolation):
-            harness.prepare_target(source, Language.C, target.workdir)
+            harness.prepare_target(source, target.workdir)
         assert (target.build_dir / "prog.gcno").exists()
         assert source.read_text() == ECHO_C
 
@@ -113,7 +122,7 @@ class TestPrepareTarget:
         source = tmp_path / "prog.c"
         source.write_text(ECHO_C)
         with pytest.raises(ContractViolation):
-            harness.prepare_target(source, Language.C, project)
+            harness.prepare_target(source, project)
         assert keep.read_text() == "mine"
         assert not (project / "manifest.json").exists()
 
@@ -124,7 +133,7 @@ class TestPrepareTarget:
         source = tmp_path / "prog.c"
         source.write_text(ECHO_C)
         with pytest.raises(ContractViolation):
-            harness.prepare_target(source, Language.C, project)
+            harness.prepare_target(source, project)
         assert (project / "manifest.json").read_text() == '{"name": "app"}\n'
 
     def test_other_files_in_workdir_survive_reruns(self, tmp_path):
@@ -139,8 +148,8 @@ class TestPrepareTarget:
         bad = tmp_path / "bad.c"
         bad.write_text("int main(void { return 0; }\n")
         with pytest.raises(CompileError):
-            harness.prepare_target(bad, Language.C, tmp_path / "work")
-        assert prepare_c(tmp_path).executable_or_script.exists()
+            harness.prepare_target(bad, tmp_path / "work")
+        assert (prepare_c(tmp_path).build_dir / "target").exists()
 
     def test_tool_versions_are_read_once_per_process(self, tmp_path, monkeypatch):
         prepare_c(tmp_path)
@@ -152,10 +161,16 @@ class TestPrepareTarget:
             return real_run(cmd, *args, **kwargs)
 
         monkeypatch.setattr(harness.subprocess, "run", recording_run)
+        harness._gcov_version.cache_clear()
         target = prepare_c(tmp_path)
-        assert [cmd for cmd in spawned if "--version" in cmd] == []
+        prepare_c(tmp_path, work="again")
+        # One gcov process both checks the flags and names gcov.
+        gcov = [shutil.which("gcov"), *harness.GCOV_FLAGS, "--version"]
+        assert [cmd for cmd in spawned if "--version" in cmd] == [gcov]
         manifest = json.loads((target.workdir / "manifest.json").read_text())
-        assert manifest["gcc"] and manifest["gcov"]
+        assert manifest["gcc"]
+        assert manifest["gcov"] == subprocess.run(
+            ["gcov", "--version"], capture_output=True, text=True).stdout.splitlines()[0]
 
     def test_gcov_without_json_format_is_refused_before_compiling(self, tmp_path, monkeypatch):
         # gcov before GCC 9 stops at the first option it does not know.
@@ -203,7 +218,7 @@ class TestPrepareTarget:
             assert {"-ftest-coverage", "-pipe"} <= set(manifest["build_flags"])
             assert manifest["linker"] == linker
             assert ("-fuse-ld=gold" in manifest["build_flags"]) == (linker == "gold")
-            gold_note = b".note.gnu.gold-version" in target.executable_or_script.read_bytes()
+            gold_note = b".note.gnu.gold-version" in (target.build_dir / "target").read_bytes()
             assert gold_note == (linker == "gold")
             assert "-b" in manifest["gcov_flags"]
             assert manifest["gcc"] != ""
@@ -420,8 +435,7 @@ class TestTestServer:
 
     def test_target_defining_read_and_write_matches_a_plain_build(self, tmp_path):
         target = prepare_c(tmp_path, OWN_READ_AND_WRITE_C, "rw.c")
-        plain = harness.PreparedTarget(Language.C, tmp_path / "plain", tmp_path / "plain",
-                                       source_name="rw.c")
+        plain = harness.PreparedTarget(tmp_path / "plain", "rw.c")
         plain.build_dir.mkdir(parents=True)
         (plain.build_dir / "rw.c").write_text(OWN_READ_AND_WRITE_C)
         for cmd in (["gcc", *harness.GCC_COVERAGE_FLAGS, "-c", "rw.c", "-o", "rw.o"],
@@ -463,14 +477,34 @@ class TestTestServer:
                                 capture_output=True, text=True, check=True).stdout
         assert re.search(r"Runs:(\d+)", report).group(1) == "2"
 
-    def test_python_test_exits_like_the_interpreter(self, tmp_path):
-        source = ("import atexit, sys\n"
-                  "def log(text):\n"
-                  "    with open('log', 'a') as out:\n"
-                  "        out.write(text)\n"
-                  "atexit.register(log, 'at exit')\n"
-                  "log('body ')\n"
-                  "sys.exit(3)\n")
+    @pytest.mark.parametrize("source", [
+        ("import atexit, sys\n"
+         "def log(text):\n"
+         "    with open('log', 'a') as out:\n"
+         "        out.write(text)\n"
+         "atexit.register(log, 'at exit')\n"
+         "log('body ')\n"
+         "sys.exit(3)\n"),
+        # A file left open: the interpreter's exit finalizes it, which flushes it.
+        ("import atexit, sys\n"
+         "log = open('log', 'w')\n"
+         "print('body', end=' ', file=log)\n"
+         "atexit.register(print, 'at exit', end='', file=log)\n"
+         "sys.exit(3)\n"),
+        # The test's globals are its own, wherever sys.modules points.
+        ("import atexit, sys\n"
+         "log = open('log', 'w')\n"
+         "print('body', end=' ', file=log)\n"
+         "atexit.register(print, 'at exit', end='', file=log)\n"
+         "del sys.modules['__main__']\n"
+         "sys.exit(3)\n"),
+    ], ids=["closed", "left-open", "main-removed"])
+    def test_python_test_exits_like_the_interpreter(self, tmp_path, source):
+        script = tmp_path / "prog.py"
+        script.write_text(source)
+        plain = subprocess.run([sys.executable, script.name], cwd=tmp_path)
+        assert plain.returncode == 3
+        assert (tmp_path / "log").read_text() == "body at exit"
         target = prepare_py(tmp_path, source)
         outcome = harness.run_test(target, TestCase(("1",)), timeout=10.0)
         assert outcome.exit_status == 3
@@ -498,11 +532,10 @@ RUN_ONE_TEST = """\
 import re, sys
 from pathlib import Path
 from covloop import harness
-from covloop.model import Language, TestCase
+from covloop.model import TestCase
 
 source = Path(sys.argv[1])
-language = Language.C if source.suffix == ".c" else Language.PYTHON
-with harness.prepare_target(source, language, source.parent / "work") as target:
+with harness.prepare_target(source, source.parent / "work") as target:
     outcome = harness.run_test(target, TestCase(("1",)), timeout=0.2)
 peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1)
 print(outcome.timed_out, outcome.duration, peak_kb)

@@ -96,16 +96,8 @@ class TestCoverageReport:
 
 class TestInputSignature:
     def test_valid(self):
-        sig = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
+        sig = InputSignature((InputKind.INTEGER, InputKind.STRING))
         assert sig.count == 2
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            InputSignature(1, ())
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ContractViolation):
-            InputSignature(-1, ())
 
 
 class TestTestCase:

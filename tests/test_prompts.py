@@ -4,9 +4,9 @@ from covloop.backends import _prompt_kinds
 from covloop.model import FeedbackRefinement, InputKind, InputSignature
 from covloop.prompts import build_baseline_prompt, merge_refinements
 
-SIG_2 = InputSignature(2, (InputKind.INTEGER, InputKind.STRING))
-SIG_0 = InputSignature(0, ())
-SIG_ALL = InputSignature(len(InputKind), tuple(InputKind))
+SIG_2 = InputSignature((InputKind.INTEGER, InputKind.STRING))
+SIG_0 = InputSignature(())
+SIG_ALL = InputSignature(tuple(InputKind))
 
 
 def line_fb(*refinements):

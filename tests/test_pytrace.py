@@ -13,7 +13,7 @@ from conftest import require_interpreter
 from covloop import _covtrace, harness, pytrace
 from covloop.errors import ParseError
 from covloop.evaluator import parse_gcov
-from covloop.model import BranchGap, Language, TestCase
+from covloop.model import BranchGap, TestCase
 
 BRANCHY = """\
 def classify(n):
@@ -252,7 +252,7 @@ def served_report(tmp_path, source, *values, timeout=10.0):
     own path: prepared target, test server, collection."""
     script = tmp_path / "prog.py"
     script.write_text(source)
-    with harness.prepare_target(script, Language.PYTHON, tmp_path / "work") as target:
+    with harness.prepare_target(script, tmp_path / "work") as target:
         for value in values:
             harness.run_test(target, TestCase((value,)), timeout=timeout)
     return parse_gcov(harness.collect_raw_coverage(target))
@@ -309,7 +309,7 @@ def test_same_store_on_every_interpreter(tmp_path, minor):
     # The same fixture through the prober's server mode, on that interpreter.
     script = tmp_path / "loops.py"
     script.write_text(LOOPS)
-    with harness.prepare_target(script, Language.PYTHON, tmp_path / "served") as target:
+    with harness.prepare_target(script, tmp_path / "served") as target:
         target.test_argv = (python, *target.test_argv[1:])
         for value in ("0", "3"):
             outcome = harness.run_test(target, TestCase((value,)), timeout=30.0)
@@ -397,7 +397,7 @@ def test_folded_tests_reach_full_coverage_on_every_interpreter(tmp_path, minor):
     python = require_interpreter(minor)
     script = tmp_path / "folded.py"
     script.write_text(FOLDED)
-    with harness.prepare_target(script, Language.PYTHON, tmp_path / "work") as target:
+    with harness.prepare_target(script, tmp_path / "work") as target:
         target.test_argv = (python, *target.test_argv[1:])
         outcome = harness.run_test(target, TestCase(()), timeout=30.0)
         assert outcome.exit_status == 0

@@ -59,7 +59,7 @@ def c_sites(tmp_path_factory):
         if name not in targets:
             source = tmp_path_factory.mktemp(name) / f"{name}.c"
             source.write_text(TWINS[name][1])
-            targets[name] = harness.prepare_target(source, Language.C, source.parent / "work")
+            targets[name] = harness.prepare_target(source, source.parent / "work")
         if (name, values) not in seen:
             seen[name, values] = one_run(targets[name], values)
         return seen[name, values]
@@ -76,7 +76,7 @@ def test_twins_take_the_same_arms(tmp_path, c_sites, name, minor):
     reads, _, py_source = TWINS[name]
     script = tmp_path / f"{name}.py"
     script.write_text(py_source)
-    with harness.prepare_target(script, Language.PYTHON, tmp_path / "work") as target:
+    with harness.prepare_target(script, tmp_path / "work") as target:
         target.test_argv = (python, *target.test_argv[1:])
 
         @settings(max_examples=12, deadline=None, derandomize=True)
