@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .backends import CompletionBackend, SchemaId
 from .cache import TestSuiteCache
-from .errors import ContractViolation, MalformedResponse, RateLimited
+from .errors import ContractViolation, MalformedResponse, TransportError
 from .model import BranchGap, FeedbackRefinement, TestCase
 from .prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, feedback_prompt
 
@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 
 # Backend calls per completion, the first one included.
 MAX_ATTEMPTS = 3
-_RATE_LIMIT_SLEEP_CAP = 30.0
+_RETRY_SLEEP_CAP = 30.0
 
 _DECODER = json.JSONDecoder()
 
@@ -97,7 +97,8 @@ def complete(
     """One schema-validated completion, retrying malformed replies.
 
     Raises MalformedResponse once MAX_ATTEMPTS attempts all failed validation;
-    rate-limit rejections are waited out and retried within the same budget.
+    rate-limit rejections and retryable transport failures are waited out and
+    retried within the same budget.
     """
     attempts = 0
     last_error = ""
@@ -106,11 +107,11 @@ def complete(
         attempts += 1
         try:
             raw = backend.raw_complete(current_prompt, schema_id)
-        except RateLimited as exc:
-            if attempts >= MAX_ATTEMPTS:
+        except TransportError as exc:  # a RateLimited too
+            if attempts >= MAX_ATTEMPTS or not exc.retryable:
                 raise
             delay = 1.0 if exc.retry_after is None else exc.retry_after
-            time.sleep(min(delay, _RATE_LIMIT_SLEEP_CAP))
+            time.sleep(min(delay, _RETRY_SLEEP_CAP))
             continue
         try:
             payload = _validate(schema_id, extract_json_object(raw))

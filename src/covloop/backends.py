@@ -273,7 +273,7 @@ class HttpBackend(CompletionBackend):
                 status, headers = response.status, response.headers
                 body = response.read().decode("utf-8", "replace")
         except (OSError, http.client.HTTPException) as exc:
-            raise TransportError(f"POST {self.endpoint} failed: {exc}") from exc
+            raise TransportError(f"POST {self.endpoint} failed: {exc}", retryable=True) from exc
         if status == 429:
             retry_after = _parse_retry_after(headers.get("Retry-After"))
             raise RateLimited(
@@ -283,7 +283,9 @@ class HttpBackend(CompletionBackend):
         if status >= 300:
             location = headers.get("Location")
             to = f" (redirect to {location} not followed)" if location else ""
-            raise TransportError(f"endpoint returned HTTP {status}{to}: {body[:200]}")
+            raise TransportError(f"endpoint returned HTTP {status}{to}: {body[:200]}",
+                                 retryable=status >= 500,
+                                 retry_after=_parse_retry_after(headers.get("Retry-After")))
         return _extract_completion_text(body)
 
 

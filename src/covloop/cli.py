@@ -190,9 +190,9 @@ def _write_reports(out: Path, rows) -> None:
         for program, _, result in rows:
             if isinstance(result, str):
                 continue
-            for record in result.iterations:
+            for k, record in enumerate(result.iterations):
                 writer.writerow([
-                    program, record.k,
+                    program, k,
                     format_pct(record.line_coverage),
                     format_pct(record.branch_coverage),
                 ])

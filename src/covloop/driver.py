@@ -23,15 +23,16 @@ all-zero report of a target no test has run yet is collected only when an
 iteration or the result needs it. The analysts do not run after the last
 iteration, because no later prompt would read their output.
 
-Each iteration's new test cases are written on a one-worker thread pool that
-the run opens next to its prepared target, so creating their files overlaps
-the iteration's tests and coverage collection. The writer gets the
-iteration's own list of new cases, which nothing changes afterwards. At most
-one write is pending: the loop waits for it once collection is done, before
-it writes the iteration's coverage artifact. So every write is done before
-each backend request and before `run_loop` returns, and a failed write ends
-the run before another request is sent. If the loop itself raises while a
-write is pending, leaving the pool waits for the write and drops its error,
+Each run opens one two-worker thread pool next to its prepared target.
+An iteration's new test cases are written on it, so creating their files
+overlaps the iteration's tests and coverage collection; the writer gets the
+iteration's own list of new cases, which nothing changes afterwards. The loop
+waits for that write once collection is done, before it writes the
+iteration's coverage artifact, so at most one write is pending, both workers
+are free when the two analysts run on the same pool, every write is done
+before each backend request and before `run_loop` returns, and a failed write
+ends the run before another request is sent. If the loop itself raises while
+a write is pending, leaving the pool waits for the write and drops its error,
 so the loop's error is the one that propagates. The prompt and the coverage
 artifact are written on the loop's own thread: the loop would wait for them
 at once, so handing them over would add only a thread wake-up each, whose
@@ -75,9 +76,13 @@ class RunResult:
     iterations: list[IterationRecord]
     termination: Termination
     total_duration: float
-    executed_processes: int
     cache: TestSuiteCache
     workdir: Path
+
+    @property
+    def executed_processes(self) -> int:
+        # Each case the cache holds was executed once, in the iteration that added it.
+        return len(self.cache)
 
 
 def run_loop(
@@ -104,8 +109,8 @@ def run_loop(
 
     backend = backend or make_backend(config)
     with (harness.prepare_target(source_path, config.workdir) as target,
-          ThreadPoolExecutor(max_workers=1, thread_name_prefix="covloop-writer") as writer):
-        result = _iterate(config, target, writer, backend, signature, source, started)
+          ThreadPoolExecutor(max_workers=2, thread_name_prefix="covloop") as pool):
+        result = _iterate(config, target, pool, backend, signature, source, started)
     target.result_path.write_text(
         json.dumps(result_dict(result), indent=2) + "\n", encoding="utf-8"
     )
@@ -115,21 +120,20 @@ def run_loop(
 def _iterate(
     config: RunConfig,
     target: harness.PreparedTarget,
-    writer: ThreadPoolExecutor,
+    pool: ThreadPoolExecutor,
     backend: CompletionBackend,
     signature: InputSignature,
     source: str,
     started: float,
 ) -> RunResult:
-    """The loop itself, over a prepared target and a writer pool that the
-    caller closes."""
+    """The loop itself, over a prepared target and a pool that the caller
+    closes."""
     cache = TestSuiteCache()
     line_fb: FeedbackRefinement | None = None
     branch_fb: FeedbackRefinement | None = None
     records: list[IterationRecord] = []
     report: CoverageReport | None = None  # collected when first needed
     termination = Termination.K_MAX_REACHED
-    executed = 0
     sent_prompts: set[str] = set()
 
     for k in range(config.k_max):
@@ -154,14 +158,13 @@ def _iterate(
 
         since = len(cache)
         novel = agents.parse_and_filter(response, cache, signature.count)
-        written = writer.submit(TestSuiteCache.persist_novel, novel,
-                                target.testcases_dir, since) if novel else None
+        written = pool.submit(TestSuiteCache.persist_novel, novel,
+                              target.testcases_dir, since) if novel else None
 
         for tc in novel:
             outcome = harness.run_test(target, tc, config.per_test_timeout)
-            executed += 1
             if outcome.timed_out:
-                log.info("iteration %d: test timed out after %.1fs", k, outcome.duration)
+                log.info("iteration %d: test timed out after %gs", k, config.per_test_timeout)
             elif outcome.exit_status:
                 log.info("iteration %d: test exited with %s", k, outcome.exit_status)
 
@@ -172,11 +175,9 @@ def _iterate(
         evaluator.emit_artifact(report, target.coverage_dir / f"iter_{k}.json")
         records.append(
             IterationRecord(
-                k=k,
                 novel_tests=len(novel),
                 line_coverage=report.line_coverage,
                 branch_coverage=report.branch_coverage,
-                total_coverage=report.total_coverage,
                 duration=time.monotonic() - iter_started,
             )
         )
@@ -194,7 +195,7 @@ def _iterate(
 
         try:
             line_fb, branch_fb = _gather_feedback(
-                config, backend, source, report, prompt_text
+                pool, config, backend, source, report, prompt_text
             )
         except BackendError as exc:
             log.error("feedback backend failed at iteration %d: %s", k, exc)
@@ -206,7 +207,6 @@ def _iterate(
         iterations=records,
         termination=termination,
         total_duration=time.monotonic() - started,
-        executed_processes=executed,
         cache=cache,
         workdir=target.workdir,
     )
@@ -218,27 +218,28 @@ def _evaluate(target: harness.PreparedTarget) -> CoverageReport:
 
 
 def _gather_feedback(
+    pool: ThreadPoolExecutor,
     config: RunConfig,
     backend: CompletionBackend,
     source: str,
     report: CoverageReport,
     prompt_text: str,
 ) -> tuple[FeedbackRefinement | None, FeedbackRefinement | None]:
-    """Run the analysts this iteration's gaps call for, concurrently."""
+    """Run the analysts this iteration's gaps call for, concurrently on the
+    run's pool: the loop has waited for its write, so both workers are free."""
     want_line = config.line_feedback_enabled and bool(report.missing_lines)
     want_branch = config.branch_feedback_enabled and bool(report.missing_branches)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = (
-            pool.submit(
-                agents.line_feedback, backend, source,
-                report.missing_lines, prompt_text,
-            ) if want_line else None,
-            pool.submit(
-                agents.branch_feedback, backend, source,
-                list(report.missing_branches), prompt_text,
-            ) if want_branch else None,
-        )
-        line_fb, branch_fb = (f.result() if f else None for f in futures)
+    futures = (
+        pool.submit(
+            agents.line_feedback, backend, source,
+            report.missing_lines, prompt_text,
+        ) if want_line else None,
+        pool.submit(
+            agents.branch_feedback, backend, source,
+            list(report.missing_branches), prompt_text,
+        ) if want_branch else None,
+    )
+    line_fb, branch_fb = (f.result() if f else None for f in futures)
     return line_fb, branch_fb
 
 
@@ -255,13 +256,13 @@ def result_dict(result: RunResult) -> dict:
         },
         "iterations": [
             {
-                "k": r.k,
+                "k": k,
                 "novel_tests": r.novel_tests,
                 "line_coverage": float(format_pct(r.line_coverage)),
                 "branch_coverage": float(format_pct(r.branch_coverage)),
                 "total_coverage": float(format_pct(r.total_coverage)),
                 "duration_sec": round(r.duration, 3),
             }
-            for r in result.iterations
+            for k, r in enumerate(result.iterations)
         ],
     }

@@ -34,15 +34,21 @@ class MalformedResponse(BackendError):
 
 
 class TransportError(BackendError):
-    """Network-level failure talking to an HTTP completion endpoint."""
+    """Network-level failure talking to an HTTP completion endpoint. A
+    retryable one, a dropped connection or a 5xx, may pass if sent again."""
+
+    def __init__(self, message: str, retryable: bool = False,
+                 retry_after: float | None = None):
+        super().__init__(message)
+        self.retryable = retryable
+        self.retry_after = retry_after
 
 
-class RateLimited(BackendError):
-    """Endpoint rejected the request with a rate limit."""
+class RateLimited(TransportError):
+    """Endpoint rejected the request with a rate limit; always retryable."""
 
     def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
+        super().__init__(message, retryable=True, retry_after=retry_after)
 
 
 class CompileError(CovloopError):

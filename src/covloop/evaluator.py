@@ -99,25 +99,3 @@ def emit_artifact(report: CoverageReport, path: str | Path) -> Path:
         raise PersistError(f"cannot write coverage artifact {path}: {exc}") from exc
     return path
 
-
-def read_artifact(path: str | Path) -> CoverageReport:
-    """Inverse of emit_artifact; percentages are recomputed from raw fields."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise PersistError(f"cannot read coverage artifact {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"coverage artifact {path} is not valid JSON: {exc}") from exc
-    try:
-        return _checked_report(
-            executed=data["executed_lines"],
-            missing=data["missing_lines"],
-            total=int(data["total_branches"]),
-            taken=int(data["taken_branches"]),
-            gaps=(
-                BranchGap(line=g["line"], branch_id=g["branch_id"])
-                for g in data["missing_branches"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"coverage artifact {path} is missing fields: {exc}") from exc

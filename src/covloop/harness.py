@@ -45,7 +45,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -118,9 +117,11 @@ class PreparedTarget:
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    exit_status: int | None
-    timed_out: bool
-    duration: float
+    exit_status: int | None  # None when the test timed out
+
+    @property
+    def timed_out(self) -> bool:
+        return self.exit_status is None
 
 
 def check_toolchain(language: Language) -> None:
@@ -295,7 +296,6 @@ def run_test(
     a target starts its test server, which `target.close()` stops. Run one
     test of a target at a time: a server runs one test at a time.
     """
-    start = time.monotonic()
     if target._server is None:
         target._server = TestServer(target.test_argv, target.build_dir)
     try:
@@ -303,11 +303,7 @@ def run_test(
     except SpawnError:
         target.close()
         raise
-    return ExecutionOutcome(
-        exit_status=exit_status,
-        timed_out=exit_status is None,
-        duration=time.monotonic() - start,
-    )
+    return ExecutionOutcome(exit_status)
 
 
 def collect_raw_coverage(target: PreparedTarget) -> dict:

@@ -188,20 +188,17 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Telemetry for one loop iteration, feeding reports and coverage curves."""
+    """Telemetry for one loop iteration, feeding reports and coverage curves.
+    Its iteration index is its position in the run's list of records."""
 
-    k: int
     novel_tests: int
     line_coverage: float
     branch_coverage: float
-    total_coverage: float
     duration: float
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ContractViolation(f"iteration index must be >= 0: {self.k}")
-        if self.novel_tests < 0:
-            raise ContractViolation(f"novel_tests must be >= 0: {self.novel_tests}")
+    @property
+    def total_coverage(self) -> float:
+        return total_coverage(self.line_coverage, self.branch_coverage)
 
 
 def format_pct(value: float) -> str:

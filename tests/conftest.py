@@ -314,6 +314,24 @@ def make_config(tmp_path, **overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def artifact_fields(report) -> dict:
+    """What `json.loads` reads back from the coverage artifact of `report`:
+    its raw fields, and its percentages rounded to two decimals."""
+    return {
+        "executed_lines": sorted(report.executed_lines),
+        "missing_lines": sorted(report.missing_lines),
+        "missing_branches": [
+            {"line": gap.line, "branch_id": gap.branch_id, "taken": False}
+            for gap in report.missing_branches
+        ],
+        "total_branches": report.total_branches,
+        "taken_branches": report.taken_branches,
+        "line_coverage": round(report.line_coverage, 2),
+        "branch_coverage": round(report.branch_coverage, 2),
+        "total_coverage": round(report.total_coverage, 2),
+    }
+
+
 class ScriptedBackend(CompletionBackend):
     """Replays a fixed list of raw completions, then repeats the last one."""
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedBackend
+from covloop import agents
 from covloop.agents import (
     AgentResponse,
     _validate,
@@ -21,7 +22,7 @@ from covloop.agents import (
     line_feedback,
     parse_and_filter,
 )
-from covloop.backends import HttpBackend, SchemaId, StubBackend
+from covloop.backends import CompletionBackend, HttpBackend, SchemaId, StubBackend
 from covloop.cache import TestSuiteCache
 from covloop.errors import ContractViolation, MalformedResponse, TransportError
 from covloop.model import (
@@ -374,7 +375,15 @@ def _serve(handler):
 
 
 @pytest.fixture
-def endpoint(monkeypatch):
+def slept(monkeypatch):
+    """The delays `complete` waits between attempts, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(agents.time, "sleep", delays.append)
+    return delays
+
+
+@pytest.fixture
+def endpoint(monkeypatch, slept):
     monkeypatch.setenv("COVLOOP_API_KEY", "sekrit")
     _Endpoint.script = []
     yield from _serve(_Endpoint)
@@ -441,10 +450,51 @@ class TestHttpBackend:
         assert response.attempts == 2
         assert response.parsed == {"test_cases": []}
 
-    def test_server_error_is_transport_error(self, endpoint):
+    def test_server_error_is_transport_error(self, endpoint, slept):
         _Endpoint.script = [(500, {}, "boom")]
         with pytest.raises(TransportError, match="HTTP 500: boom"):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+        assert len(_Endpoint.seen) == 3  # retried within MAX_ATTEMPTS
+        assert slept == [1.0, 1.0]
+
+    def test_server_error_then_success_is_retried(self, endpoint, slept):
+        _Endpoint.script = [
+            (503, {"Retry-After": "2"}, "busy"),
+            (200, {}, json.dumps({"text": '{"test_cases": []}'})),
+        ]
+        response = complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+        assert response.attempts == 2
+        assert response.parsed == {"test_cases": []}
+        assert slept == [2.0]
+
+    def test_retry_waits_at_most_the_cap(self, endpoint, slept):
+        _Endpoint.script = [
+            (502, {"Retry-After": "3600"}, "bad gateway"),
+            (200, {}, json.dumps({"text": '{"test_cases": []}'})),
+        ]
+        assert complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES).attempts == 2
+        assert slept == [30.0]
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_client_error_is_sent_once(self, endpoint, slept, status):
+        _Endpoint.script = [(status, {}, "no")]
+        with pytest.raises(TransportError, match=f"HTTP {status}: no"):
+            complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+        assert len(_Endpoint.seen) == 1
+        assert slept == []
+
+    def test_a_transport_error_that_is_not_retryable_is_final(self):
+        class Down(CompletionBackend):
+            calls = 0
+
+            def raw_complete(self, prompt, schema_id):
+                self.calls += 1
+                raise TransportError("down")
+
+        backend = Down()
+        with pytest.raises(TransportError, match="down"):
+            complete(backend, "p", SchemaId.TEST_CASES)
+        assert backend.calls == 1
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_is_not_followed(self, endpoint, elsewhere, status):
@@ -458,13 +508,16 @@ class TestHttpBackend:
         (None, {}, "garbage\r\n\r\n"),
         (200, {"Content-Length": "100"}, "short"),
     ], ids=["bad-status-line", "truncated-body"])
-    def test_broken_reply_is_transport_error(self, endpoint, script):
+    def test_broken_reply_is_transport_error(self, endpoint, slept, script):
         _Endpoint.script = [script]
         with pytest.raises(TransportError):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+        assert len(_Endpoint.seen) == 3  # a broken connection is retried
+        assert slept == [1.0, 1.0]
 
-    def test_unreachable_endpoint_is_transport_error(self, monkeypatch):
+    def test_unreachable_endpoint_is_transport_error(self, monkeypatch, slept):
         monkeypatch.setenv("COVLOOP_API_KEY", "k")
         backend = HttpBackend("http://127.0.0.1:9/unreachable", "m", timeout=0.5)
         with pytest.raises(TransportError):
             complete(backend, "p", SchemaId.TEST_CASES)
+        assert slept == [1.0, 1.0]

@@ -11,7 +11,7 @@ from concurrent.futures import Future
 import pytest
 
 from conftest import ConstantPayloadBackend, ScriptedBackend, make_config
-from covloop import driver, evaluator, harness
+from covloop import driver, harness
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.cache import TestSuiteCache
 from covloop.driver import run_loop
@@ -126,7 +126,6 @@ class TestTermination:
         result = run_loop(make_config(tmp_path), echo_c)
         assert result.termination is Termination.THRESHOLD_MET
         assert len(result.iterations) == 1
-        assert result.iterations[0].k == 0
 
     def test_unsupported_language_propagates(self, tmp_path):
         source = tmp_path / "prog.rs"
@@ -362,6 +361,30 @@ class SerialPool:
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+
+class BarrierBackend(CompletionBackend):
+    """Generates with the stub; each analyst waits for the other before it
+    answers, so a run only gets through when both run at once."""
+
+    def __init__(self):
+        self._stub = StubBackend()
+        self._both_analysts = threading.Barrier(2, timeout=5)
+        self.refinements = []  # list.append is atomic across the analyst threads
+
+    def raw_complete(self, prompt, schema_id):
+        if schema_id is SchemaId.REFINEMENT:
+            self._both_analysts.wait()
+            self.refinements.append(prompt)
+        return self._stub.raw_complete(prompt, schema_id)
+
+
+class TestAnalystsOnTheRunsPool:
+    def test_both_analysts_run_at_once(self, tmp_path, guard_c):
+        backend = BarrierBackend()
+        result = run_loop(make_config(tmp_path), guard_c, backend=backend)
+        assert result.termination is Termination.THRESHOLD_MET
+        assert len(backend.refinements) == 2  # iteration 0 has both gaps
 
 
 class FileCountingBackend(RecordingBackend):

@@ -1,4 +1,4 @@
-"""Every name a covloop module imports at module level is used in it."""
+"""Every name a covloop module or a test file imports at module level is used in it."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 import covloop
 
-MODULES = sorted(Path(covloop.__file__).parent.glob("*.py"))
+MODULES = sorted(Path(covloop.__file__).parent.glob("*.py")) + sorted(
+    Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -134,14 +134,10 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
-class TestIterationRecord:
-    def test_negative_novel_rejected(self):
-        with pytest.raises(ContractViolation):
-            IterationRecord(0, -1, 0, 0, 0, 0)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ContractViolation):
-            IterationRecord(-1, 0, 0, 0, 0, 0)
+def test_iteration_record_derives_its_total_coverage():
+    record = IterationRecord(novel_tests=3, line_coverage=80.0, branch_coverage=50.0,
+                             duration=0.1)
+    assert record.total_coverage == 65.0
 
 
 def test_refinement_requires_proposals():
