@@ -32,7 +32,7 @@ _DECODER = json.JSONDecoder()
 class AgentResponse:
     """A schema-validated reply payload and the attempts it took."""
 
-    parsed: dict | None
+    parsed: dict
     attempts: int
 
 
@@ -123,15 +123,11 @@ def complete(
                 f"{prompt}\n\nYour previous reply was not valid: {last_error}. "
                 "Reply with ONLY the JSON object."
             )
-    raise MalformedResponse(
-        f"no valid {schema_id.value} payload after {attempts} attempts: {last_error}",
-        attempts=attempts,
-    )
+    raise MalformedResponse(f"no valid {schema_id.value} payload after {attempts} "
+                            f"attempts: {last_error}")
 
 
-def cases_from_payload(
-    payload: dict, expected_count: int | None = None
-) -> list[TestCase]:
+def cases_from_payload(payload: dict, expected_count: int) -> list[TestCase]:
     """Map a validated test_cases payload to TestCase values.
 
     Inner lists whose length disagrees with the target's input count are
@@ -140,7 +136,7 @@ def cases_from_payload(
     """
     cases: list[TestCase] = []
     for raw_case in payload["test_cases"]:
-        if expected_count is not None and len(raw_case) != expected_count:
+        if len(raw_case) != expected_count:
             log.warning(
                 "dropping case with %d values (target reads %d): %r",
                 len(raw_case), expected_count, raw_case,
@@ -154,16 +150,12 @@ def cases_from_payload(
 
 
 def parse_and_filter(
-    raw: AgentResponse,
-    cache: TestSuiteCache,
-    expected_count: int | None = None,
+    raw: AgentResponse, cache: TestSuiteCache, expected_count: int
 ) -> list[TestCase]:
     """Insert the reply's cases into the cache; return, in reply order, the
     ones it added. A case whose canonical key the cache already holds, from
     an earlier reply or from earlier in this one, is dropped.
     """
-    if raw.parsed is None or "test_cases" not in raw.parsed:
-        raise ContractViolation("response has no validated test_cases payload")
     return [tc for tc in cases_from_payload(raw.parsed, expected_count)
             if cache.insert_if_novel(tc)]
 
@@ -175,11 +167,7 @@ def line_feedback(
     current_prompt: str,
 ) -> FeedbackRefinement:
     """Ask the statement-gap analyst about lines that never executed."""
-    if not missing_lines:
-        raise ContractViolation("line feedback requires a non-empty missing_lines set")
-    gap_line = MISSING_LINES_ANCHOR + " " + ", ".join(
-        str(n) for n in sorted(missing_lines)
-    )
+    gap_line = MISSING_LINES_ANCHOR + " " + ", ".join(map(str, sorted(missing_lines)))
     prompt = feedback_prompt("statement", source, gap_line, current_prompt)
     return _refinement(complete(backend, prompt, SchemaId.REFINEMENT).parsed)
 
@@ -187,16 +175,13 @@ def line_feedback(
 def branch_feedback(
     backend: CompletionBackend,
     source: str,
-    missing_branches: list[BranchGap] | tuple[BranchGap, ...],
+    missing_branches: tuple[BranchGap, ...],
     current_prompt: str,
 ) -> FeedbackRefinement:
-    """Ask the branch-gap analyst about outcome arms that were never taken."""
-    if not missing_branches:
-        raise ContractViolation(
-            "branch feedback requires a non-empty missing_branches list"
-        )
+    """Ask the branch-gap analyst about outcome arms that were never taken,
+    listed in the order given (a report's are sorted)."""
     gap_line = MISSING_BRANCHES_ANCHOR + " " + "; ".join(
-        f"line {gap.line} arm {gap.branch_id}" for gap in sorted(missing_branches)
+        f"line {gap.line} arm {gap.branch_id}" for gap in missing_branches
     )
     prompt = feedback_prompt("branch", source, gap_line, current_prompt)
     return _refinement(complete(backend, prompt, SchemaId.REFINEMENT).parsed)

@@ -236,7 +236,7 @@ def _gather_feedback(
         ) if want_line else None,
         pool.submit(
             agents.branch_feedback, backend, source,
-            list(report.missing_branches), prompt_text,
+            report.missing_branches, prompt_text,
         ) if want_branch else None,
     )
     line_fb, branch_fb = (f.result() if f else None for f in futures)

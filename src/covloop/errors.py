@@ -28,10 +28,6 @@ class BackendError(CovloopError):
 class MalformedResponse(BackendError):
     """Backend kept returning output that failed schema validation."""
 
-    def __init__(self, message: str, attempts: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 class TransportError(BackendError):
     """Network-level failure talking to an HTTP completion endpoint. A

@@ -1,13 +1,13 @@
 """Normalization of raw coverage, a gcov JSON file entry in both lanes, into
-CoverageReport, plus the JSON coverage artifact consumed by the feedback
-agents and report generator."""
+CoverageReport, plus the JSON coverage artifact that each loop iteration
+writes to its workdir."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .errors import ContractViolation, ParseError, PersistError
+from .errors import ParseError, PersistError
 from .model import BranchGap, CoverageReport, format_pct
 
 
@@ -33,32 +33,21 @@ def parse_gcov(entry: dict) -> CoverageReport:
             arms.setdefault(lineno, []).extend(b["count"] > 0 for b in line["branches"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"gcov JSON entry does not match expected schema: {exc}") from exc
-    gaps = [
-        BranchGap(line=lineno, branch_id=arm)
-        for lineno, taken in arms.items()
-        for arm, hit in enumerate(taken)
-        if not hit
-    ]
-    total = sum(len(taken) for taken in arms.values())
-    return _checked_report(executed, listed - executed, total, total - len(gaps), gaps)
+    return CoverageReport(
+        executed_lines=frozenset(executed),
+        missing_lines=frozenset(listed - executed),
+        total_branches=sum(len(hits) for hits in arms.values()),
+        missing_branches=tuple(sorted(
+            BranchGap(line=lineno, branch_id=arm)
+            for lineno, hits in arms.items()
+            for arm, hit in enumerate(hits)
+            if not hit
+        )),
+    )
 
 
 # The span wrapper of perfbench/spans.py still names this; it goes with that file.
 parse_dynamic_coverage = parse_gcov
-
-
-def _checked_report(executed, missing, total, taken, gaps) -> CoverageReport:
-    """Build a report; its own invariants are the one consistency check."""
-    try:
-        return CoverageReport(
-            executed_lines=frozenset(executed),
-            missing_lines=frozenset(missing),
-            total_branches=total,
-            taken_branches=taken,
-            missing_branches=tuple(gaps),
-        )
-    except ContractViolation as exc:
-        raise ParseError(f"inconsistent coverage data: {exc}") from exc
 
 
 def artifact_dict(report: CoverageReport) -> dict:
@@ -67,7 +56,7 @@ def artifact_dict(report: CoverageReport) -> dict:
         "executed_lines": sorted(report.executed_lines),
         "missing_lines": sorted(report.missing_lines),
         "missing_branches": [
-            {"line": g.line, "branch_id": g.branch_id, "taken": g.taken}
+            {"line": g.line, "branch_id": g.branch_id}
             for g in report.missing_branches
         ],
         "total_branches": report.total_branches,

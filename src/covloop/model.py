@@ -39,13 +39,8 @@ class Termination(enum.Enum):
 
 
 def total_coverage(line_pct: float, branch_pct: float) -> float:
-    """Combine line and branch percentages into the single loop-exit metric.
-
-    Both inputs must lie in [0, 100]; the result is their arithmetic mean.
-    """
-    for name, value in (("line_pct", line_pct), ("branch_pct", branch_pct)):
-        if not 0.0 <= value <= 100.0:
-            raise ContractViolation(f"{name} out of range [0, 100]: {value!r}")
+    """Combine line and branch percentages into the single loop-exit metric:
+    their arithmetic mean."""
     return (line_pct + branch_pct) / 2.0
 
 
@@ -86,44 +81,28 @@ class BranchGap:
 
     line: int
     branch_id: int
-    taken: bool = False
 
 
 @dataclass(frozen=True)
 class CoverageReport:
     """Normalized line and branch coverage for one target.
 
-    Percentages are derived from the raw sets and counters on access, so they
-    are always consistent with them. A target with no measurable lines (or no
-    branches) is reported as 100% covered on that axis: there is nothing left
-    to reach, and the loop must be able to terminate.
+    `executed_lines` and `missing_lines` are disjoint. `missing_branches`
+    holds the never-taken arms in (line, arm) order, out of `total_branches`
+    arms. The taken count and the percentages are derived on access, so they
+    are always consistent with these fields. A target with no measurable
+    lines (or no branches) is reported as 100% covered on that axis: there is
+    nothing left to reach, and the loop must be able to terminate.
     """
 
     executed_lines: frozenset[int]
     missing_lines: frozenset[int]
     total_branches: int
-    taken_branches: int
     missing_branches: tuple[BranchGap, ...]
 
-    def __post_init__(self):
-        if self.executed_lines & self.missing_lines:
-            raise ContractViolation("executed_lines and missing_lines overlap")
-        if not 0 <= self.taken_branches <= self.total_branches:
-            raise ContractViolation(
-                f"taken_branches {self.taken_branches} outside "
-                f"[0, {self.total_branches}]"
-            )
-        if len(self.missing_branches) != self.total_branches - self.taken_branches:
-            raise ContractViolation(
-                f"{len(self.missing_branches)} missing branch arms do not account "
-                f"for {self.total_branches} total minus {self.taken_branches} taken"
-            )
-        if any(gap.taken for gap in self.missing_branches):
-            raise ContractViolation("missing_branches may only hold never-taken arms")
-        # Canonical ordering keeps value equality independent of parse order.
-        object.__setattr__(
-            self, "missing_branches", tuple(sorted(self.missing_branches))
-        )
+    @property
+    def taken_branches(self) -> int:
+        return self.total_branches - len(self.missing_branches)
 
     @property
     def line_coverage(self) -> float:
@@ -149,10 +128,6 @@ class FeedbackRefinement:
 
     gap_explanation: str
     prompt_refinements: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.prompt_refinements:
-            raise ContractViolation("a feedback refinement must propose something")
 
 
 # Longest per-test timeout, in seconds: the test server waits for a reply with

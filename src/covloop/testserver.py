@@ -45,21 +45,26 @@ class TestServer:
     """The long-lived process that forks each test of one target."""
 
     def __init__(self, argv: tuple[str, ...], cwd: Path):
-        self._stdin, self._stderr = _scratch_fd("stdin"), _scratch_fd("stderr")
-        control_r, self._control = os.pipe()
-        self._status, status_w = os.pipe()
+        fds: list[int] = []  # every descriptor opened here; closed on failure
         try:
-            self._proc = subprocess.Popen(
-                argv, stdin=self._stdin, stdout=subprocess.DEVNULL, stderr=self._stderr,
-                cwd=cwd, pass_fds=(control_r, status_w),
-                env={**os.environ, SERVER_ENV: f"{control_r},{status_w}"})
-        except OSError as exc:
-            for fd in (self._stdin, self._stderr, self._control, self._status):
+            fds.append(_scratch_fd("stdin"))
+            fds.append(_scratch_fd("stderr"))
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            self._stdin, self._stderr, control_r, self._control, self._status, status_w = fds
+            try:
+                self._proc = subprocess.Popen(
+                    argv, stdin=self._stdin, stdout=subprocess.DEVNULL, stderr=self._stderr,
+                    cwd=cwd, pass_fds=(control_r, status_w),
+                    env={**os.environ, SERVER_ENV: f"{control_r},{status_w}"})
+            except OSError as exc:
+                raise SpawnError(f"cannot launch {argv[0]}: {exc}") from exc
+        except BaseException:
+            for fd in fds:
                 os.close(fd)
-            raise SpawnError(f"cannot launch {argv[0]}: {exc}") from exc
-        finally:
-            os.close(control_r)
-            os.close(status_w)
+            raise
+        os.close(control_r)
+        os.close(status_w)
         self._replies = select.poll()
         self._replies.register(self._status, select.POLLIN)
 

@@ -321,7 +321,7 @@ def artifact_fields(report) -> dict:
         "executed_lines": sorted(report.executed_lines),
         "missing_lines": sorted(report.missing_lines),
         "missing_branches": [
-            {"line": gap.line, "branch_id": gap.branch_id, "taken": False}
+            {"line": gap.line, "branch_id": gap.branch_id}
             for gap in report.missing_branches
         ],
         "total_branches": report.total_branches,

@@ -329,7 +329,6 @@ def test_criterion_9_artifact_round_trip(tmp_path):
             executed_lines=executed,
             missing_lines=missing,
             total_branches=taken + len(gaps),
-            taken_branches=taken,
             missing_branches=gaps,
         )
         path = tmp_path / f"artifact_{i}.json"

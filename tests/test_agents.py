@@ -31,7 +31,7 @@ from covloop.model import (
     InputSignature,
     TestCase,
 )
-from covloop.prompts import build_baseline_prompt
+from covloop.prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, build_baseline_prompt
 
 SIG_1 = InputSignature((InputKind.INTEGER,))
 SIG_2 = InputSignature((InputKind.INTEGER, InputKind.STRING))
@@ -63,9 +63,8 @@ class TestComplete:
 
     def test_malformed_forever_exhausts_retries(self):
         backend = ScriptedBackend(['{"wrong": []}'])
-        with pytest.raises(MalformedResponse) as exc:
+        with pytest.raises(MalformedResponse, match="after 3 attempts"):
             complete(backend, "p", SchemaId.TEST_CASES)
-        assert exc.value.attempts == 3
         assert backend.calls == 3
 
     def test_recovers_on_second_attempt(self):
@@ -257,17 +256,17 @@ class TestParseAndFilter:
     def test_filters_cached(self):
         cache = TestSuiteCache()
         cache.insert_if_novel(TestCase(("1",)))
-        fresh = parse_and_filter(self.response([["1"], ["2"]]), cache)
+        fresh = parse_and_filter(self.response([["1"], ["2"]]), cache, 1)
         assert fresh == [TestCase(("2",))]
 
     def test_all_cached_gives_empty(self):
         cache = TestSuiteCache()
         cache.insert_if_novel(TestCase(("1",)))
-        assert parse_and_filter(self.response([["1"], [" 1 "]]), cache) == []
+        assert parse_and_filter(self.response([["1"], [" 1 "]]), cache, 1) == []
 
     def test_in_payload_duplicates_collapse(self):
         fresh = parse_and_filter(
-            self.response([["3"], ["3"], ["4"]]), TestSuiteCache()
+            self.response([["3"], ["3"], ["4"]]), TestSuiteCache(), 1
         )
         assert fresh == [TestCase(("3",)), TestCase(("4",))]
 
@@ -276,14 +275,16 @@ class TestParseAndFilter:
         for i in range(10):
             cache.insert_if_novel(TestCase((str(i),)))
         fresh = parse_and_filter(
-            self.response([[str(i)] for i in range(20)]), cache
+            self.response([[str(i)] for i in range(20)]), cache, 1
         )
         assert fresh == [TestCase((str(i),)) for i in range(10, 20)]
         assert len(cache) == 20
 
-    def test_unvalidated_response_rejected(self):
-        with pytest.raises(ContractViolation):
-            parse_and_filter(AgentResponse(None, 1), TestSuiteCache())
+    def test_a_case_of_the_wrong_arity_is_not_cached(self):
+        cache = TestSuiteCache()
+        fresh = parse_and_filter(self.response([["1"], ["2", "x"]]), cache, 2)
+        assert fresh == [TestCase(("2", "x"))]
+        assert len(cache) == 1
 
 
 NEGATIVE_GUARD_PY = """\
@@ -302,25 +303,51 @@ class TestFeedbackAgents:
         )
         assert any("-1" in r for r in refinement.prompt_refinements)
 
-    def test_line_feedback_requires_gaps(self):
-        with pytest.raises(ContractViolation):
-            line_feedback(StubBackend(), "src", set(), "p")
-
     def test_branch_feedback_echoes_comparison_constant(self):
         source = 'if (x == 42) {\n    printf("hit");\n}\n'
         refinement = branch_feedback(
-            StubBackend(), source, [BranchGap(line=1, branch_id=0)], "p"
+            StubBackend(), source, (BranchGap(line=1, branch_id=0),), "p"
         )
         assert any("42" in r for r in refinement.prompt_refinements)
 
-    def test_branch_feedback_requires_gaps(self):
-        with pytest.raises(ContractViolation):
-            branch_feedback(StubBackend(), "src", [], "p")
-
     def test_multiple_gaps_still_propose_something(self):
-        gaps = [BranchGap(line=n, branch_id=0) for n in (1, 2, 3)]
+        gaps = tuple(BranchGap(line=n, branch_id=0) for n in (1, 2, 3))
         refinement = branch_feedback(StubBackend(), "a\nb\nc\n", gaps, "p")
         assert len(refinement.prompt_refinements) >= 1
+
+    def test_line_feedback_lists_the_lines_in_numeric_order(self):
+        backend = PromptRecorder()
+        line_feedback(backend, "src", {20, 3, 100}, "p")
+        assert f"{MISSING_LINES_ANCHOR} 3, 20, 100\n" in backend.prompts[0]
+
+    def test_branch_feedback_lists_the_gaps_in_the_order_given(self):
+        backend = PromptRecorder()
+        gaps = (BranchGap(line=9, branch_id=0), BranchGap(line=2, branch_id=1))
+        branch_feedback(backend, "src", gaps, "p")
+        assert (f"{MISSING_BRANCHES_ANCHOR} line 9 arm 0; line 2 arm 1\n"
+                in backend.prompts[0])
+
+    # The reply's check is the one guard: no refinement is built without proposals.
+    @pytest.mark.parametrize("ask", [
+        lambda backend: line_feedback(backend, "src", {1}, "p"),
+        lambda backend: branch_feedback(backend, "src", (BranchGap(1, 0),), "p"),
+    ], ids=["line", "branch"])
+    def test_a_reply_without_proposals_is_malformed(self, ask):
+        backend = ScriptedBackend(['{"gap_explanation": "g", "prompt_refinements": []}'])
+        with pytest.raises(MalformedResponse, match="after 3 attempts"):
+            ask(backend)
+        assert backend.calls == 3
+
+
+class PromptRecorder(CompletionBackend):
+    """Records each prompt and answers with a fixed refinement."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def raw_complete(self, prompt, schema_id):
+        self.prompts.append(prompt)
+        return json.dumps(REFINEMENT_OK)
 
 
 class _Endpoint(BaseHTTPRequestHandler):

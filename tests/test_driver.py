@@ -16,7 +16,7 @@ from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.cache import TestSuiteCache
 from covloop.driver import run_loop
 from covloop.errors import MalformedResponse, PersistError, TransportError, UnsupportedLanguage
-from covloop.model import Termination
+from covloop.model import BranchGap, CoverageReport, Termination
 
 
 class TestGuardTarget:
@@ -164,7 +164,7 @@ class TestBackendFailure:
                 if schema_id is SchemaId.TEST_CASES:
                     self.generations += 1
                     if self.generations > 1:
-                        raise MalformedResponse("model went away", attempts=3)
+                        raise MalformedResponse("model went away")
                 return super().raw_complete(prompt, schema_id)
 
         config = make_config(tmp_path, threshold=99.9)
@@ -181,7 +181,7 @@ class TestBackendFailure:
             self, tmp_path, request, fixture, lines):
         class FailsAtOnce(StubBackend):
             def raw_complete(self, prompt, schema_id):
-                raise MalformedResponse("model went away", attempts=3)
+                raise MalformedResponse("model went away")
 
         source = request.getfixturevalue(fixture)
         result = run_loop(make_config(tmp_path), source, backend=FailsAtOnce())
@@ -385,6 +385,26 @@ class TestAnalystsOnTheRunsPool:
         result = run_loop(make_config(tmp_path), guard_c, backend=backend)
         assert result.termination is Termination.THRESHOLD_MET
         assert len(backend.refinements) == 2  # iteration 0 has both gaps
+
+    # The analysts take a gap set as given, so the loop must not ask one
+    # about a kind of gap the report has none of.
+    @pytest.mark.parametrize("missing_lines, missing_branches", [
+        ({3}, ()), (frozenset(), (BranchGap(2, 0),)), (frozenset(), ()),
+    ], ids=["lines-only", "branches-only", "neither"])
+    def test_an_analyst_is_asked_only_about_gaps_there_are(
+        self, tmp_path, missing_lines, missing_branches
+    ):
+        report = CoverageReport(
+            executed_lines=frozenset({1, 2}), missing_lines=frozenset(missing_lines),
+            total_branches=2, missing_branches=missing_branches,
+        )
+        backend = RecordingBackend(StubBackend())
+        line_fb, branch_fb = driver._gather_feedback(
+            SerialPool(), make_config(tmp_path), backend, "a\nb\nc\n", report, "p"
+        )
+        assert (line_fb is not None, branch_fb is not None) == (
+            bool(missing_lines), bool(missing_branches))
+        assert len(backend.requests) == bool(missing_lines) + bool(missing_branches)
 
 
 class FileCountingBackend(RecordingBackend):

@@ -1,6 +1,8 @@
 """Tests for coverage parsing and the JSON coverage artifact."""
 
+import itertools
 import json
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from covloop.errors import ParseError
 from covloop.evaluator import (
     emit_artifact,
     parse_gcov,
-    render_artifact,
 )
 from covloop.model import BranchGap, CoverageReport
 
@@ -48,6 +49,12 @@ GCOV_FIXTURE = entry(
     line(12, 2),
     line(13, 0),
 )
+
+
+# gcov listings that repeat lines in any order: (line, count, arm hits) each.
+listings = st.lists(st.tuples(
+    st.integers(1, 8), st.integers(0, 3), st.lists(st.integers(0, 2), max_size=3),
+), max_size=12)
 
 
 class TestParseGcov:
@@ -103,10 +110,16 @@ class TestParseGcov:
                 parse_gcov(bad)
 
 
+    def test_gaps_of_lines_listed_out_of_order_come_sorted(self):
+        report = parse_gcov(entry(line(9, 1, 0), line(2, 1, 1, 0), line(9, 1, 0)))
+        assert report.missing_branches == (
+            BranchGap(line=2, branch_id=1),
+            BranchGap(line=9, branch_id=0),
+            BranchGap(line=9, branch_id=1),
+        )
+
     @settings(max_examples=100)
-    @given(st.lists(st.tuples(
-        st.integers(1, 8), st.integers(0, 3), st.lists(st.integers(0, 2), max_size=3),
-    ), max_size=12))
+    @given(listings)
     def test_counters_agree_with_the_listed_lines_and_arms(self, listing):
         # Counters are derived from the listing, so no entry is inconsistent,
         # even with a line listed more than once under different counts.
@@ -116,21 +129,33 @@ class TestParseGcov:
         assert report.missing_lines == {n for n, _, _ in listing} - report.executed_lines
         assert report.total_branches == len(arms)
         assert report.taken_branches == sum(hit > 0 for hit in arms)
+        # Each line numbers its arms in listing order; the gaps come sorted.
+        arm_numbers = defaultdict(itertools.count)
+        numbered = [(n, next(arm_numbers[n]), hit) for n, _, hits in listing for hit in hits]
+        assert report.missing_branches == tuple(
+            BranchGap(n, arm) for n, arm, hit in sorted(numbered) if not hit)
+
+    @settings(max_examples=100)
+    @given(listings)
+    def test_percentages_lie_in_range(self, listing):
+        # The counts bound every percentage, so total_coverage needs no check.
+        report = parse_gcov(entry(*(line(n, count, *arms) for n, count, arms in listing)))
+        for pct in (report.line_coverage, report.branch_coverage, report.total_coverage):
+            assert 0.0 <= pct <= 100.0
 
 
-def report_of(executed, missing, total, taken, gaps=()):
+def report_of(executed, missing, total, gaps=()):
     return CoverageReport(
         executed_lines=frozenset(executed),
         missing_lines=frozenset(missing),
         total_branches=total,
-        taken_branches=taken,
         missing_branches=tuple(gaps),
     )
 
 
 class TestArtifact:
     def test_two_decimal_rendering(self, tmp_path):
-        report = report_of({1, 2, 3, 4}, {5}, 4, 3, [BranchGap(2, 1)])
+        report = report_of({1, 2, 3, 4}, {5}, 4, [BranchGap(2, 1)])
         path = emit_artifact(report, tmp_path / "cov.json")
         text = path.read_text()
         assert '"line_coverage": 80.00' in text
@@ -138,18 +163,18 @@ class TestArtifact:
         assert '"total_coverage": 77.50' in text
 
     def test_degenerate_report_is_all_full(self, tmp_path):
-        path = emit_artifact(report_of((), (), 0, 0), tmp_path / "cov.json")
+        path = emit_artifact(report_of((), (), 0), tmp_path / "cov.json")
         text = path.read_text()
         assert '"executed_lines": []' in text
         assert '"total_coverage": 100.00' in text
 
     def test_round_trip_identity(self, tmp_path):
-        report = report_of({1, 3}, {2}, 2, 1, [BranchGap(3, 0)])
+        report = report_of({1, 3}, {2}, 2, [BranchGap(3, 0)])
         path = emit_artifact(report, tmp_path / "cov.json")
         assert json.loads(path.read_text()) == {
             "executed_lines": [1, 3],
             "missing_lines": [2],
-            "missing_branches": [{"line": 3, "branch_id": 0, "taken": False}],
+            "missing_branches": [{"line": 3, "branch_id": 0}],
             "total_branches": 2,
             "taken_branches": 1,
             "line_coverage": 66.67,
@@ -157,17 +182,12 @@ class TestArtifact:
             "total_coverage": 58.33,
         }
 
-    def test_gap_entries_carry_taken_flag(self):
-        text = render_artifact(report_of({1}, (), 1, 0, [BranchGap(1, 0)]))
-        assert '"taken": false' in text
-
 
 reports = st.builds(
     lambda executed, missing_extra, gaps: CoverageReport(
         executed_lines=frozenset(executed),
         missing_lines=frozenset(n + 1000 for n in missing_extra),
         total_branches=len(gaps) + len(executed),
-        taken_branches=len(executed),
         missing_branches=tuple(
             BranchGap(line=line, branch_id=arm) for line, arm in sorted(set(gaps))
         ),

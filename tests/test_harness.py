@@ -19,7 +19,7 @@ from conftest import (
     SPIN_FOREVER_C,
     UNREACHABLE_ARM_C,
 )
-from covloop import harness
+from covloop import harness, testserver
 from covloop.errors import (
     CompileError,
     ContractViolation,
@@ -420,6 +420,26 @@ def process_state(pid):
 
 
 class TestTestServer:
+    def test_a_failed_start_closes_every_descriptor_it_opened(self, monkeypatch, tmp_path):
+        pipe, calls = os.pipe, []
+
+        def second_pipe_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(24, "Too many open files")
+            return pipe()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("no process may start")
+
+        monkeypatch.setattr(testserver.os, "pipe", second_pipe_fails)
+        monkeypatch.setattr(testserver.subprocess, "Popen", no_process)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="Too many open files"):
+            testserver.TestServer(("true",), tmp_path)
+        assert len(calls) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_timeout_kills_the_whole_test(self, tmp_path):
         target = prepare_c(tmp_path, FORK_A_SLEEPER_C, "forks.c")
         outcome = harness.run_test(target, TestCase(("1",)), timeout=1.0)

@@ -1,4 +1,5 @@
-"""Every name a covloop module or a test file imports at module level is used in it."""
+"""Every name a covloop module, a test file or a benchmark script imports at
+module level is used in it."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 import covloop
 
-MODULES = sorted(Path(covloop.__file__).parent.glob("*.py")) + sorted(
-    Path(__file__).parent.glob("*.py"))
+TESTS = Path(__file__).parent
+MODULES = [*sorted(Path(covloop.__file__).parent.glob("*.py")), *sorted(TESTS.glob("*.py")),
+           *sorted((TESTS.parent / "perfbench").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

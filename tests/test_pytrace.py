@@ -443,4 +443,4 @@ def test_compiler_warnings_of_a_test_do_not_change_its_arms(tmp_path):
     assert "<test>" not in proc.stderr
     artifact = json.loads((out / "coverage" / "iter_0.json").read_text())
     assert artifact["executed_lines"] == [1, 2, 3, 4]
-    assert artifact["missing_branches"] == [{"line": 4, "branch_id": 0, "taken": False}]
+    assert artifact["missing_branches"] == [{"line": 4, "branch_id": 0}]
