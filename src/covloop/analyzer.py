@@ -2,10 +2,14 @@
 
 Python sources are parsed with `ast`: a read is a bare `input(...)` call.
 C sources are scanned lexically: comments and literal contents are blanked
-first (offsets and line breaks stay put), then `scanf`/`fscanf(stdin, ...)`
-calls are matched and their format strings classified. Reads inside loops are
-counted once per textual site and flagged with a warning, since their runtime
-repetition count is not statically known here.
+first (offsets and line breaks stay put), then each `scanf(` or
+`fscanf(stdin,` call is matched with one pattern and the conversions of its
+literal format string are typed: `d i u` integer, `a e f g` in either case
+float, `c` char, `s` string; `%n` is not a read, and anything else reads a
+string with a warning. A read whose format is not a closed literal is warned
+about and not counted. Reads inside loops are counted once per textual site
+and flagged with a warning, since their runtime repetition count is not
+statically known here.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def extract_input_signature(
         kinds, warnings = _scan_python(source)
     else:
         kinds, warnings = _scan_c(source)
-    return InputSignature(tuple(kinds)), warnings
+    return tuple(kinds), warnings
 
 
 # --- Python scanning ---
@@ -104,13 +108,12 @@ def _scan_python(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
 
 # --- C scanning ---
 
-# Conversion classification: only d/i/u, f, c, s are recognized; everything
-# else is a read we cannot type, so it degrades to string with a warning.
+# Conversion classification: d/i/u, a/e/f/g in either case, c and s are
+# typed; %n stores a count and reads nothing; anything else is a read we cannot
+# type, so it degrades to string with a warning.
 _C_KIND_BY_CONV = {
-    "d": InputKind.INTEGER,
-    "i": InputKind.INTEGER,
-    "u": InputKind.INTEGER,
-    "f": InputKind.FLOAT,
+    **dict.fromkeys("diu", InputKind.INTEGER),
+    **dict.fromkeys("aAeEfFgG", InputKind.FLOAT),
     "c": InputKind.CHAR,
     "s": InputKind.STRING,
 }
@@ -125,6 +128,10 @@ _C_LEXEME = re.compile(
     re.S,
 )
 _NOT_NEWLINE = re.compile(r"[^\n]")
+# One stdin read, matched in blanked text up to where its format argument
+# starts: that offset is a key of the string table only when the format is a
+# closed literal.
+_C_STDIN_READ = re.compile(r"\b(?:scanf\s*\(|fscanf\s*\(\s*stdin\s*,)\s*")
 _C_UNCOUNTED_READS = re.compile(r"\b(?:getchar|gets)\s*\(|\bfgets\s*\([^)]*\bstdin\b")
 
 
@@ -134,10 +141,9 @@ def _scan_c(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
     warnings: list[AnalyzerWarning] = []
     loop_lines = _c_loop_lines(blanked)
 
-    for m in re.finditer(r"\b(?:scanf|fscanf)\s*\(", blanked):
+    for m in _C_STDIN_READ.finditer(blanked):
         lineno = blanked.count("\n", 0, m.start()) + 1
-        call = m.group(0)
-        fmt = _format_string_for_call(blanked, strings, m.end(), call)
+        fmt = strings.get(m.end())
         if fmt is None:
             warnings.append(
                 AnalyzerWarning("stdin read without a literal format string", lineno)
@@ -164,35 +170,13 @@ def _scan_c(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
     return kinds, warnings
 
 
-def _format_string_for_call(
-    blanked: str, strings: dict[int, str], call_end: int, call_text: str
-) -> str | None:
-    """Find the format-string literal of a scanf-family call.
-
-    For fscanf the first argument must be stdin for the call to count as a
-    stdin read at all.
-    """
-    if "fscanf" in call_text:
-        rest = blanked[call_end : call_end + 80]
-        if not re.match(r"\s*stdin\s*,", rest):
-            return None
-    for pos in sorted(strings):
-        if pos >= call_end:
-            # Must be within this call's argument list, not a later statement.
-            between = blanked[call_end:pos]
-            if ";" in between or ")" in between:
-                return None
-            return strings[pos]
-    return None
-
-
 def _parse_conversions(fmt: str) -> tuple[list[InputKind], list[str]]:
     """A kind per conversion specifier of one format string, and the unclassified ones."""
     kinds: list[InputKind] = []
     unknown: list[str] = []
     for m in _C_CONVERSION.finditer(fmt):
         conv = m.group(1)
-        if not conv:
+        if not conv or conv == "n":
             continue
         kind = _C_KIND_BY_CONV.get(conv)
         if kind is None:

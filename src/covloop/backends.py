@@ -26,7 +26,6 @@ from .errors import ContractViolation, RateLimited, TransportError
 from .model import BackendKind, InputKind, RunConfig
 from .prompts import (
     FOCUS_HEADER,
-    INPUT_COUNT_RE,
     INPUT_KIND_RE,
     MISSING_BRANCHES_ANCHOR,
     MISSING_LINES_ANCHOR,
@@ -94,12 +93,7 @@ class StubBackend(CompletionBackend):
 
 
 def _prompt_kinds(prompt: str) -> list[InputKind]:
-    count_match = INPUT_COUNT_RE.search(prompt)
-    count = int(count_match.group(1)) if count_match else 1
-    kinds = [InputKind(k) for k in INPUT_KIND_RE.findall(prompt)]
-    if len(kinds) < count:
-        kinds.extend([InputKind.STRING] * (count - len(kinds)))
-    return kinds[:count]
+    return [InputKind(k) for k in INPUT_KIND_RE.findall(prompt)]
 
 
 def _focus_section(prompt: str) -> str | None:

@@ -157,7 +157,7 @@ def _iterate(
             break
 
         since = len(cache)
-        novel = agents.parse_and_filter(response, cache, signature.count)
+        novel = agents.parse_and_filter(response, cache, len(signature))
         written = pool.submit(TestSuiteCache.persist_novel, novel,
                               target.testcases_dir, since) if novel else None
 

@@ -44,15 +44,8 @@ def total_coverage(line_pct: float, branch_pct: float) -> float:
     return (line_pct + branch_pct) / 2.0
 
 
-@dataclass(frozen=True)
-class InputSignature:
-    """The ordered kinds of the stdin reads one execution performs."""
-
-    kinds: tuple[InputKind, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.kinds)
+# The ordered kinds of the stdin reads one execution performs.
+InputSignature = tuple[InputKind, ...]
 
 
 @dataclass(frozen=True)

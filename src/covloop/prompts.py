@@ -29,8 +29,7 @@ SOURCE_ANCHOR = "SOURCE CODE:"
 MISSING_LINES_ANCHOR = "MISSING LINES:"
 MISSING_BRANCHES_ANCHOR = "MISSING BRANCHES:"
 # The stub backend reads the input signature back out of a rendered prompt
-# with these; they parse the wording build_baseline_prompt writes.
-INPUT_COUNT_RE = re.compile(r"calls input exactly (\d+) times")
+# with this one pattern: build_baseline_prompt writes one such line per read.
 INPUT_KIND_RE = re.compile(
     r"Input #\d+: expects (" + "|".join(k.value for k in InputKind) + ")"
 )
@@ -59,9 +58,9 @@ class PromptBundle:
 
 def build_baseline_prompt(sig: InputSignature, cache_summary: str) -> PromptBundle:
     """Render the iteration-0 prompt for a signature and cache summary."""
-    lines = [f"IMPORTANT: This program calls input exactly {sig.count} times."]
+    lines = [f"IMPORTANT: This program calls input exactly {len(sig)} times."]
     lines.append("Detailed input types (in order):")
-    for i, kind in enumerate(sig.kinds, start=1):
+    for i, kind in enumerate(sig, start=1):
         lines.append(f"  Input #{i}: expects {kind.value}")
     cache_section = f"{CACHE_HEADER} {cache_summary}" if cache_summary else CACHE_HEADER
     return PromptBundle(

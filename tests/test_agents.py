@@ -28,13 +28,12 @@ from covloop.errors import ContractViolation, MalformedResponse, TransportError
 from covloop.model import (
     BranchGap,
     InputKind,
-    InputSignature,
     TestCase,
 )
 from covloop.prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, build_baseline_prompt
 
-SIG_1 = InputSignature((InputKind.INTEGER,))
-SIG_2 = InputSignature((InputKind.INTEGER, InputKind.STRING))
+SIG_1 = (InputKind.INTEGER,)
+SIG_2 = (InputKind.INTEGER, InputKind.STRING)
 
 
 class TestExtractJsonObject:
@@ -227,7 +226,7 @@ class TestGenerateTests:
     def generate(self, backend, sig=SIG_2):
         prompt = build_baseline_prompt(sig, "").render()
         response = complete(backend, prompt, SchemaId.TEST_CASES)
-        return parse_and_filter(response, TestSuiteCache(), sig.count)
+        return parse_and_filter(response, TestSuiteCache(), len(sig))
 
     def test_maps_inner_lists(self):
         backend = ScriptedBackend(['{"test_cases": [["1", "a"], ["-5", "z"]]}'])

@@ -26,7 +26,7 @@ class TestDetectLanguage:
 
 def kinds_of(source, language):
     sig, _ = extract_input_signature(source, language)
-    return list(sig.kinds)
+    return list(sig)
 
 
 class TestPythonScan:
@@ -34,16 +34,16 @@ class TestPythonScan:
         sig, _ = extract_input_signature(
             "x = int(input())\ny = input()", Language.PYTHON
         )
-        assert sig.count == 2
-        assert list(sig.kinds) == [INT, STR]
+        assert len(sig) == 2
+        assert list(sig) == [INT, STR]
 
     def test_float_cast(self):
         assert kinds_of("v = float(input())", Language.PYTHON) == [FLT]
 
     def test_no_reads(self):
         sig, _ = extract_input_signature("print('hello')", Language.PYTHON)
-        assert sig.count == 0
-        assert sig.kinds == ()
+        assert len(sig) == 0
+        assert sig == ()
         assert kinds_of("obj.input()", Language.PYTHON) == []
         assert kinds_of("def input(prompt=''):\n    return '1'\n", Language.PYTHON) == []
 
@@ -59,7 +59,7 @@ class TestPythonScan:
     def test_loop_read_warns(self):
         source = "while True:\n    v = input()\n"
         sig, warnings = extract_input_signature(source, Language.PYTHON)
-        assert sig.count == 1
+        assert len(sig) == 1
         assert any("loop" in w.message for w in warnings)
 
     def test_top_level_read_does_not_warn_about_loops(self):
@@ -86,8 +86,8 @@ class TestCScan:
         sig, _ = extract_input_signature(
             'int main(){int a,b;scanf("%d %d",&a,&b);return 0;}', Language.C
         )
-        assert sig.count == 2
-        assert list(sig.kinds) == [INT, INT]
+        assert len(sig) == 2
+        assert list(sig) == [INT, INT]
 
     def test_specifier_classification(self):
         source = 'scanf("%d %i %u %ld %f %lf %c %s", ...);'
@@ -107,19 +107,45 @@ class TestCScan:
 
     def test_unknown_conversion_defaults_to_string_with_warning(self):
         sig, warnings = extract_input_signature('scanf("%x", &x);', Language.C)
-        assert list(sig.kinds) == [STR]
+        assert list(sig) == [STR]
         assert any("unclassified" in w.message for w in warnings)
 
     def test_scanset_reads_a_string(self):
         sig, warnings = extract_input_signature('scanf("%[a-z]", s);', Language.C)
-        assert list(sig.kinds) == [STR]
+        assert list(sig) == [STR]
         assert warnings
 
     def test_fscanf_stdin_counted(self):
         assert kinds_of('fscanf(stdin, "%d", &x);', Language.C) == [INT]
 
     def test_fscanf_file_not_counted(self):
-        assert kinds_of('fscanf(fp, "%d", &x);', Language.C) == []
+        sig, warnings = extract_input_signature('fscanf(fp, "%d", &x);', Language.C)
+        assert sig == ()
+        assert warnings == []
+
+    def test_format_not_a_closed_literal_warns(self):
+        for source in ('scanf(fmt, &x);', 'scanf("%d'):
+            sig, warnings = extract_input_signature(source, Language.C)
+            assert sig == ()
+            assert [w.message for w in warnings] == [
+                "stdin read without a literal format string"
+            ]
+
+    def test_comment_before_format_literal_still_counts(self):
+        assert kinds_of('scanf(/* fmt */ "%d", &x);', Language.C) == [INT]
+        assert kinds_of('fscanf(stdin, // fmt\n "%c", &c);', Language.C) == [CHR]
+
+    def test_count_conversion_is_not_a_read(self):
+        sig, warnings = extract_input_signature('scanf("%d%n", &x, &n);', Language.C)
+        assert list(sig) == [INT]
+        assert warnings == []
+
+    def test_float_conversions(self):
+        sig, warnings = extract_input_signature(
+            'double d; scanf("%lg %a %A %e %E %F %g %G", &d);', Language.C
+        )
+        assert list(sig) == [FLT] * 8
+        assert warnings == []
 
     def test_scanf_in_comment_not_counted(self):
         assert kinds_of('/* scanf("%d", &x); */ int y;', Language.C) == []
@@ -132,7 +158,7 @@ class TestCScan:
     def test_loop_read_warns(self):
         source = 'int main(){int i,x;for(i=0;i<3;i++){scanf("%d",&x);}return 0;}'
         sig, warnings = extract_input_signature(source, Language.C)
-        assert sig.count == 1
+        assert len(sig) == 1
         assert any("loop" in w.message for w in warnings)
 
     def test_straight_line_read_does_not_warn(self):
@@ -144,16 +170,17 @@ class TestCScan:
         sig, warnings = extract_input_signature(
             "int main(){int c=getchar();return 0;}", Language.C
         )
-        assert sig.count == 0
+        assert len(sig) == 0
         assert warnings
 
 
 def test_kinds_length_always_matches_count():
     sources = [
-        ("x = int(input())\n" * 4, Language.PYTHON),
-        ('scanf("%d%s%c", &a, s, &c);', Language.C),
-        ("", Language.PYTHON),
+        ("x = int(input())\n" * 4, Language.PYTHON, 4),
+        ('scanf("%d%s%c", &a, s, &c);', Language.C, 3),
+        ("", Language.PYTHON, 0),
     ]
-    for source, language in sources:
+    for source, language, count in sources:
         sig, _ = extract_input_signature(source, language)
-        assert len(sig.kinds) == sig.count
+        assert len(sig) == count
+        assert all(isinstance(kind, InputKind) for kind in sig)

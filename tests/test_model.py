@@ -8,8 +8,6 @@ from covloop.errors import ContractViolation
 from covloop.model import (
     BranchGap,
     CoverageReport,
-    InputKind,
-    InputSignature,
     IterationRecord,
     RunConfig,
     TestCase,
@@ -66,12 +64,6 @@ class TestCoverageReport:
         gaps = [BranchGap(line=2, branch_id=0), BranchGap(line=2, branch_id=1)]
         assert self.make({1, 2}, set(), 5, gaps).taken_branches == 3
         assert self.make({1, 2}, set(), 2, gaps).taken_branches == 0
-
-
-class TestInputSignature:
-    def test_valid(self):
-        sig = InputSignature((InputKind.INTEGER, InputKind.STRING))
-        assert sig.count == 2
 
 
 class TestTestCase:

@@ -1,12 +1,12 @@
 """Tests for baseline prompt construction and refinement merging."""
 
 from covloop.backends import _prompt_kinds
-from covloop.model import FeedbackRefinement, InputKind, InputSignature
+from covloop.model import FeedbackRefinement, InputKind
 from covloop.prompts import build_baseline_prompt, merge_refinements
 
-SIG_2 = InputSignature((InputKind.INTEGER, InputKind.STRING))
-SIG_0 = InputSignature(())
-SIG_ALL = InputSignature(tuple(InputKind))
+SIG_2 = (InputKind.INTEGER, InputKind.STRING)
+SIG_0 = ()
+SIG_ALL = tuple(InputKind)
 
 
 def line_fb(*refinements):
@@ -44,7 +44,7 @@ class TestBaselinePrompt:
         # The stub parses the wording this module writes; a prompt edit that
         # desyncs the two shows up here for every input kind.
         for sig in (SIG_ALL, SIG_2, SIG_0):
-            assert _prompt_kinds(build_baseline_prompt(sig, "").render()) == list(sig.kinds)
+            assert _prompt_kinds(build_baseline_prompt(sig, "").render()) == list(sig)
 
     def test_deterministic(self):
         assert (
