@@ -17,7 +17,7 @@ from .backends import CompletionBackend, SchemaId
 from .cache import TestSuiteCache
 from .errors import ContractViolation, MalformedResponse, TransportError
 from .model import BranchGap, FeedbackRefinement, TestCase
-from .prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, feedback_prompt
+from .prompts import branch_feedback_prompt, line_feedback_prompt
 
 log = logging.getLogger(__name__)
 
@@ -107,7 +107,7 @@ def complete(
         attempts += 1
         try:
             raw = backend.raw_complete(current_prompt, schema_id)
-        except TransportError as exc:  # a RateLimited too
+        except TransportError as exc:
             if attempts >= MAX_ATTEMPTS or not exc.retryable:
                 raise
             delay = 1.0 if exc.retry_after is None else exc.retry_after
@@ -167,8 +167,7 @@ def line_feedback(
     current_prompt: str,
 ) -> FeedbackRefinement:
     """Ask the statement-gap analyst about lines that never executed."""
-    gap_line = MISSING_LINES_ANCHOR + " " + ", ".join(map(str, sorted(missing_lines)))
-    prompt = feedback_prompt("statement", source, gap_line, current_prompt)
+    prompt = line_feedback_prompt(source, missing_lines, current_prompt)
     return _refinement(complete(backend, prompt, SchemaId.REFINEMENT).parsed)
 
 
@@ -180,10 +179,7 @@ def branch_feedback(
 ) -> FeedbackRefinement:
     """Ask the branch-gap analyst about outcome arms that were never taken,
     listed in the order given (a report's are sorted)."""
-    gap_line = MISSING_BRANCHES_ANCHOR + " " + "; ".join(
-        f"line {gap.line} arm {gap.branch_id}" for gap in missing_branches
-    )
-    prompt = feedback_prompt("branch", source, gap_line, current_prompt)
+    prompt = branch_feedback_prompt(source, missing_branches, current_prompt)
     return _refinement(complete(backend, prompt, SchemaId.REFINEMENT).parsed)
 
 

@@ -4,10 +4,11 @@ The stub makes the whole loop testable without a model endpoint. Each
 generation call advances a boundary-value enumeration, so successive
 iterations see new candidate batches; a prompt sent again would get the next
 batch, but the loop driver never sends one again. Analyst replies are a pure
-function of the prompt. When the prompt carries an "Additional Focus Areas"
-section, integer and char literals found there are substituted into matching
-input slots (cartesian product, capped), which is what lets feedback flip
-comparison-guarded branches offline.
+function of the prompt, whose source and gap line ANALYST_PROMPT_RE reads back.
+When the prompt carries an "Additional Focus Areas" section, integer and char
+literals found there are substituted into matching input slots (cartesian
+product, capped), which is what lets feedback flip comparison-guarded
+branches offline.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ import re
 import threading
 import urllib.parse
 
-from .errors import ContractViolation, RateLimited, TransportError
+from .errors import ContractViolation, TransportError
 from .model import BackendKind, InputKind, RunConfig
-from .prompts import (
-    FOCUS_HEADER,
-    INPUT_KIND_RE,
-    MISSING_BRANCHES_ANCHOR,
-    MISSING_LINES_ANCHOR,
-    SOURCE_ANCHOR,
-)
+from .prompts import ANALYST_PROMPT_RE, FOCUS_HEADER, GAP_LINE_RE, INPUT_KIND_RE
 
 API_KEY_ENV = "COVLOOP_API_KEY"
 
@@ -148,15 +143,13 @@ def _focus_cases(
 
 def _stub_refinement(prompt: str) -> dict:
     """Echo comparison constants found near the reported gap lines."""
-    source = _extract_block(prompt, SOURCE_ANCHOR,
-                            (MISSING_LINES_ANCHOR, MISSING_BRANCHES_ANCHOR))
-    gap_lines = _extract_gap_lines(prompt)
     ints: set[int] = set()
     chars: set[str] = set()
-    if source and gap_lines:
-        src_lines = source.split("\n")
+    match = ANALYST_PROMPT_RE.search(prompt)
+    if match:
+        src_lines = match[1].split("\n")
         window: set[int] = set()
-        for line in gap_lines:
+        for line in map(int, GAP_LINE_RE.findall(match[2])):
             window.update((line - 1, line, line + 1))
         for lineno in sorted(window):
             if not 1 <= lineno <= len(src_lines):
@@ -189,36 +182,6 @@ def _stub_refinement(prompt: str) -> dict:
         )
         refinements = ["increase value diversity: repeat boundary extremes"]
     return {"gap_explanation": explanation, "prompt_refinements": refinements}
-
-
-def _extract_block(prompt: str, start_anchor: str, end_anchors: tuple[str, ...]) -> str:
-    start = prompt.find(start_anchor)
-    if start < 0:
-        return ""
-    start += len(start_anchor)
-    end = len(prompt)
-    for anchor in end_anchors:
-        pos = prompt.find(anchor, start)
-        if 0 <= pos < end:
-            end = pos
-    # Drop only the single separator newline on each side: interior blank
-    # lines are real source lines and keep gap line numbers aligned.
-    return prompt[start:end].removeprefix("\n").removesuffix("\n")
-
-
-def _extract_gap_lines(prompt: str) -> list[int]:
-    for anchor, pattern in (
-        (MISSING_LINES_ANCHOR, r"\d+"),
-        (MISSING_BRANCHES_ANCHOR, r"line (\d+)"),
-    ):
-        pos = prompt.find(anchor)
-        if pos < 0:
-            continue
-        tail = prompt[pos + len(anchor):].split("\n", 1)[0]
-        found = [int(v) for v in re.findall(pattern, tail)]
-        if found:
-            return found
-    return []
 
 
 class HttpBackend(CompletionBackend):
@@ -270,9 +233,9 @@ class HttpBackend(CompletionBackend):
             raise TransportError(f"POST {self.endpoint} failed: {exc}", retryable=True) from exc
         if status == 429:
             retry_after = _parse_retry_after(headers.get("Retry-After"))
-            raise RateLimited(
+            raise TransportError(
                 f"endpoint rate limited (429), retry after {retry_after}s",
-                retry_after=retry_after,
+                retryable=True, retry_after=retry_after,
             )
         if status >= 300:
             location = headers.get("Location")

@@ -40,13 +40,6 @@ class TransportError(BackendError):
         self.retry_after = retry_after
 
 
-class RateLimited(TransportError):
-    """Endpoint rejected the request with a rate limit; always retryable."""
-
-    def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message, retryable=True, retry_after=retry_after)
-
-
 class CompileError(CovloopError):
     """Target compilation failed; message carries the diagnostics."""
 

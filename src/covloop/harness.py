@@ -2,7 +2,7 @@
 
 Each run owns a workdir with a fixed layout:
 
-    build/         compiled binary, or copied script and prober; instrumentation
+    build/         compiled binary, or copied script and `_covtrace` prober; instrumentation
     coverage/      iter_<k>.json coverage artifacts; hits, the Python probes' hits file
     TestCases/     persisted novel test inputs
     prompts/       iter_<k>.txt, the generation prompt of each iteration
@@ -63,7 +63,7 @@ from .testserver import TestServer
 
 GCC_COVERAGE_FLAGS = ["-fprofile-arcs", "-ftest-coverage", "-O0"]
 GCOV_FLAGS = ["-b", "--json-format", "--stdout"]  # without -b: no branches
-_PROBER_NAME = "_covtrace.py"
+_PROBER = Path(__file__).with_name("_covtrace.py")
 _SHIM_NAME = "_forksrv.c"
 
 
@@ -197,8 +197,9 @@ def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarg
     if language is Language.C:
         target.test_argv = (str(_compile_c(target, local_source)),)
     else:
-        prober = target.build_dir / _PROBER_NAME
-        shutil.copyfile(Path(__file__).with_name(_PROBER_NAME), prober)
+        # Copied without its suffix, so no script can have the prober's name.
+        prober = target.build_dir / _PROBER.stem
+        shutil.copyfile(_PROBER, prober)
         # At covloop's own -O level, so the server's probes fold `__debug__`
         # as `pytrace.build_export` does here.
         target.test_argv = (sys.executable, *(["-O"] * sys.flags.optimize), str(prober),

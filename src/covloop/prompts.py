@@ -1,4 +1,4 @@
-"""Generation- and feedback-prompt construction and refinement merging.
+"""Generation and analyst prompts, the patterns that read them back, and merging.
 
 The baseline prompt states exactly how many stdin values the target reads and
 of which kinds, demands a strict JSON reply, and echoes already-generated
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .model import FeedbackRefinement, InputKind, InputSignature
+from .model import BranchGap, FeedbackRefinement, InputKind, InputSignature
 
 OPENING = "Generate diverse test values for the following program."
 DIVERSITY_INSTRUCTION = (
@@ -24,15 +24,19 @@ OUTPUT_FORMAT_INSTRUCTION = (
 )
 CACHE_HEADER = "Previously generated values:"
 FOCUS_HEADER = "Additional Focus Areas:"
-# Feedback-prompt anchors; the stub backend locates the source and gaps by them.
+# The stub backend reads prompts back with the patterns below: each input kind;
+# an analyst prompt's exact source, on the lines after SOURCE_ANCHOR, and the
+# text of the gap line after it, past its gap anchor (so no source line may
+# start with a gap anchor); and each gap's line number in that text.
 SOURCE_ANCHOR = "SOURCE CODE:"
 MISSING_LINES_ANCHOR = "MISSING LINES:"
 MISSING_BRANCHES_ANCHOR = "MISSING BRANCHES:"
-# The stub backend reads the input signature back out of a rendered prompt
-# with this one pattern: build_baseline_prompt writes one such line per read.
 INPUT_KIND_RE = re.compile(
     r"Input #\d+: expects (" + "|".join(k.value for k in InputKind) + ")"
 )
+ANALYST_PROMPT_RE = re.compile(
+    rf"(?s){SOURCE_ANCHOR}\n(.*?)\n(?:{MISSING_LINES_ANCHOR}|{MISSING_BRANCHES_ANCHOR})([^\n]*)")
+GAP_LINE_RE = re.compile(r"(\d+)(?: arm \d+)?")
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,21 @@ def merge_refinements(
     return replace(base, focus_section="\n".join(lines))
 
 
-def feedback_prompt(kind: str, source: str, gap_line: str, current_prompt: str) -> str:
-    """Render a gap analyst's prompt for `kind` ("statement" or "branch") gaps."""
+def line_feedback_prompt(source: str, missing_lines: frozenset[int] | set[int],
+                         current_prompt: str) -> str:
+    """The statement-gap analyst's prompt; lines are listed in numeric order."""
+    gaps = ", ".join(map(str, sorted(missing_lines)))
+    return _analyst_prompt("statement", source, f"{MISSING_LINES_ANCHOR} {gaps}", current_prompt)
+
+
+def branch_feedback_prompt(source: str, missing_branches: tuple[BranchGap, ...],
+                           current_prompt: str) -> str:
+    """The branch-gap analyst's prompt; arms are listed in the order given."""
+    gaps = "; ".join(f"line {gap.line} arm {gap.branch_id}" for gap in missing_branches)
+    return _analyst_prompt("branch", source, f"{MISSING_BRANCHES_ANCHOR} {gaps}", current_prompt)
+
+
+def _analyst_prompt(kind: str, source: str, gap_line: str, current_prompt: str) -> str:
     return "\n".join(
         [
             f"You analyze {kind} coverage gaps for a program under test.",

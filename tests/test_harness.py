@@ -88,8 +88,17 @@ class TestPrepareTarget:
     def test_python_copies_script_and_tracer(self, tmp_path):
         target = prepare_py(tmp_path, "print(input())\n")
         assert (target.build_dir / "prog.py").read_text() == "print(input())\n"
-        assert (target.build_dir / "_covtrace.py").exists()
+        assert (target.build_dir / "_covtrace").exists()
         assert not target.data_store.exists()  # fresh store, created on first run
+
+    def test_python_script_named_like_the_prober_is_measured_as_itself(self, tmp_path):
+        source = "x = input()\nif x == 'a':\n    print(1)\nprint(2)\n"
+        target = prepare_py(tmp_path, source, name="_covtrace.py")
+        assert (target.build_dir / "_covtrace.py").read_text() == source
+        assert harness.run_test(target, TestCase(("a",)), timeout=10.0).exit_status == 0
+        report = parse_gcov(harness.collect_raw_coverage(target))
+        assert report.executed_lines == frozenset({1, 2, 3, 4})
+        assert report.missing_lines == frozenset()
 
     def test_unsupported_suffix_is_refused_before_the_workdir_is_made(self, tmp_path):
         source = tmp_path / "prog.java"

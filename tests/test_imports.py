@@ -1,5 +1,6 @@
 """Every name a covloop module, a test file or a benchmark script imports at
-module level is used in it."""
+module level is used in it, and every private name a covloop module defines
+at module level is used in that module."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 import covloop
 
 TESTS = Path(__file__).parent
-MODULES = [*sorted(Path(covloop.__file__).parent.glob("*.py")), *sorted(TESTS.glob("*.py")),
+PACKAGE = sorted(Path(covloop.__file__).parent.glob("*.py"))
+MODULES = [*PACKAGE, *sorted(TESTS.glob("*.py")),
            *sorted((TESTS.parent / "perfbench").glob("*.py"))]
 
 
@@ -26,6 +28,21 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level `_x` functions, classes and assigned names never loaded
+    in the module; dunders are exempt."""
+    tree = ast.parse(source)
+    defined = [stmt.name for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    defined += [node.id for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in loaded]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -34,3 +51,14 @@ def test_no_unused_module_level_import(path):
 def test_an_unused_import_is_found():
     assert unused_imports("import os\nimport os.path as p\nfrom a import b, c\nc()\n") == [
         "os", "p", "b"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_unused_module_level_private_name(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_private_name_is_found():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): return _A\n"
+              "def _g(): pass\nclass _C: pass\n_f()\n")
+    assert unused_private_names(source) == ["_g", "_C", "_B"]

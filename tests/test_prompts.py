@@ -1,8 +1,20 @@
-"""Tests for baseline prompt construction and refinement merging."""
+"""Tests for prompt construction, refinement merging and reading prompts back."""
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covloop.backends import _prompt_kinds
-from covloop.model import FeedbackRefinement, InputKind
-from covloop.prompts import build_baseline_prompt, merge_refinements
+from covloop.model import BranchGap, FeedbackRefinement, InputKind
+from covloop.prompts import (
+    ANALYST_PROMPT_RE,
+    GAP_LINE_RE,
+    MISSING_BRANCHES_ANCHOR,
+    MISSING_LINES_ANCHOR,
+    branch_feedback_prompt,
+    build_baseline_prompt,
+    line_feedback_prompt,
+    merge_refinements,
+)
 
 SIG_2 = (InputKind.INTEGER, InputKind.STRING)
 SIG_0 = ()
@@ -103,3 +115,33 @@ def test_prompt_grows_only_with_cache_summary():
     small = build_baseline_prompt(SIG_2, "(1, a)").render()
     big = build_baseline_prompt(SIG_2, "(1, a), (2, b)").render()
     assert len(big) - len(small) == len("(1, a), (2, b)") - len("(1, a)")
+
+
+# A source line may hold anything but a newline, and must not start with a gap
+# anchor; a source may end in blank lines.
+source_lines = st.lists(
+    st.text(st.characters(blacklist_characters="\n"), max_size=30).filter(
+        lambda line: not line.startswith((MISSING_LINES_ANCHOR, MISSING_BRANCHES_ANCHOR))),
+    max_size=8)
+sources = st.builds(lambda lines, blanks: "\n".join(lines) + "\n" * blanks,
+                    source_lines, st.integers(0, 3))
+line_sets = st.frozensets(st.integers(1, 10**6), min_size=1, max_size=6)
+branch_gaps = st.lists(st.builds(BranchGap, st.integers(1, 10**6), st.integers(0, 99)),
+                       min_size=1, max_size=6).map(tuple)
+
+
+def read_back(prompt: str) -> tuple[str, list[int]]:
+    match = ANALYST_PROMPT_RE.search(prompt)
+    return match[1], [int(line) for line in GAP_LINE_RE.findall(match[2])]
+
+
+class TestAnalystPrompt:
+    @given(sources, line_sets, st.text())
+    def test_line_prompt_reads_back(self, source, lines, current_prompt):
+        prompt = line_feedback_prompt(source, lines, current_prompt)
+        assert read_back(prompt) == (source, sorted(lines))
+
+    @given(sources, branch_gaps, st.text())
+    def test_branch_prompt_reads_back(self, source, gaps, current_prompt):
+        prompt = branch_feedback_prompt(source, gaps, current_prompt)
+        assert read_back(prompt) == (source, [gap.line for gap in gaps])
