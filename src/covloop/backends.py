@@ -24,7 +24,7 @@ import threading
 import urllib.parse
 
 from .errors import ContractViolation, TransportError
-from .model import BackendKind, InputKind, RunConfig
+from .model import InputKind, RunConfig
 from .prompts import ANALYST_PROMPT_RE, FOCUS_HEADER, GAP_LINE_RE, INPUT_KIND_RE
 
 API_KEY_ENV = "COVLOOP_API_KEY"
@@ -70,7 +70,8 @@ _CHAR_COMPARISON_RE = re.compile(r"(?:==|!=)\s*'(.)'|'(.)'\s*(?:==|!=)")
 
 
 class StubBackend(CompletionBackend):
-    """Deterministic offline backend used by the test suite and `--backend stub`."""
+    """Deterministic offline backend, used by the test suite and by every run
+    without `--endpoint`."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -194,14 +195,10 @@ class HttpBackend(CompletionBackend):
 
     def __init__(self, endpoint: str, model_id: str, timeout: float = 60.0):
         if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
-            raise ContractViolation(
-                f"http backend requires an http(s) endpoint URL, got {endpoint!r}"
-            )
+            raise ContractViolation(f"the endpoint must be an http(s) URL, got {endpoint!r}")
         key = os.environ.get(API_KEY_ENV, "")
         if not key:
-            raise ContractViolation(
-                f"http backend requires a credential in ${API_KEY_ENV}"
-            )
+            raise ContractViolation(f"an endpoint needs a credential in ${API_KEY_ENV}")
         self.endpoint = endpoint
         self.model_id = model_id
         self.timeout = timeout
@@ -295,6 +292,7 @@ def _extract_completion_text(body: str) -> str:
 
 
 def make_backend(config: RunConfig) -> CompletionBackend:
-    if config.backend is BackendKind.STUB:
+    """The HTTP client of the config's endpoint, or the stub if it names none."""
+    if config.endpoint is None:
         return StubBackend()
-    return HttpBackend(endpoint=config.endpoint or "", model_id=config.model_id)
+    return HttpBackend(endpoint=config.endpoint, model_id=config.model_id)

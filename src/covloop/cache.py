@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import PersistError
 from .model import TestCase
 
 CanonicalKey = tuple[str, ...]
@@ -62,11 +61,8 @@ class TestSuiteCache:
         written: list[Path] = []
         for index, tc in enumerate(cases, start=first_index):
             path = directory / f"test_{index:04d}.txt"
-            try:
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(tc.stdin_payload())
-            except OSError as exc:
-                raise PersistError(f"cannot write test case file {path}: {exc}") from exc
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(tc.stdin_payload())
             written.append(path)
         return written
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from .analyzer import EXTENSIONS
 from .driver import RunResult, run_loop
 from .errors import ContractViolation, CovloopError
-from .model import BackendKind, RunConfig, Termination, format_pct
+from .model import RunConfig, Termination, format_pct
 
 log = logging.getLogger(__name__)
 
@@ -38,19 +38,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig()
+
     def add_common(p):
-        p.add_argument("--threshold", type=float, default=90.0,
-                       help="stop once (line%% + branch%%)/2 reaches this (default 90)")
-        p.add_argument("--max-iters", type=int, default=10,
-                       help="iteration cap (default 10)")
-        p.add_argument("--timeout", type=float, default=5.0,
-                       help="per-test timeout in seconds (default 5)")
-        p.add_argument("--backend", choices=["stub", "http"], default="stub")
-        p.add_argument("--model", default="stub", help="model id for the backend")
-        p.add_argument("--endpoint", default=None,
-                       help="completion endpoint URL (http backend)")
-        p.add_argument("--out", type=Path, default=Path("covloop_out"),
-                       help="output directory (default covloop_out)")
+        p.add_argument("--threshold", type=float, default=defaults.threshold,
+                       help="stop once (line%% + branch%%)/2 reaches this (default %(default)g)")
+        p.add_argument("--max-iters", type=int, default=defaults.k_max,
+                       help="iteration cap (default %(default)s)")
+        p.add_argument("--timeout", type=float, default=defaults.per_test_timeout,
+                       help="per-test timeout in seconds (default %(default)g)")
+        p.add_argument("--model", default=defaults.model_id,
+                       help="model id sent to the endpoint (default %(default)s)")
+        p.add_argument("--endpoint", default=defaults.endpoint,
+                       help="completion endpoint URL; without one, the offline stub answers")
+        p.add_argument("--out", type=Path, default=defaults.workdir,
+                       help="output directory (default %(default)s)")
         p.add_argument("--no-line-feedback", action="store_true")
         p.add_argument("--no-branch-feedback", action="store_true")
 
@@ -74,7 +76,6 @@ def _config_from_args(args) -> RunConfig:
     """The run's RunConfig. A flag out of the range RunConfig checks is a
     usage error that names the flag, raised before any directory is made."""
     config = RunConfig(
-        backend=BackendKind(args.backend),
         model_id=args.model,
         workdir=args.out,
         endpoint=args.endpoint,

@@ -13,10 +13,6 @@ class UnsupportedLanguage(CovloopError):
     """Target file extension maps to no supported language."""
 
 
-class PersistError(CovloopError):
-    """Writing an on-disk artifact failed; message names the path."""
-
-
 class ParseError(CovloopError):
     """A coverage report or export did not match its expected format."""
 

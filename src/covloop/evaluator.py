@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError, PersistError
+from .errors import ParseError
 from .model import BranchGap, CoverageReport, format_pct
 
 
@@ -82,9 +82,6 @@ def render_artifact(report: CoverageReport) -> str:
 
 def emit_artifact(report: CoverageReport, path: str | Path) -> Path:
     path = Path(path)
-    try:
-        path.write_text(render_artifact(report), encoding="utf-8")
-    except OSError as exc:
-        raise PersistError(f"cannot write coverage artifact {path}: {exc}") from exc
+    path.write_text(render_artifact(report), encoding="utf-8")
     return path
 

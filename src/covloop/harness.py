@@ -129,21 +129,25 @@ def check_toolchain(language: Language) -> None:
         for tool in ("gcc", "gcov"):
             if shutil.which(tool) is None:
                 raise MissingToolchain(f"required tool not on PATH: {tool}")
-        if _gcov_version(shutil.which("gcov")) is None:
+        if _gcov_version() is None:
             raise MissingToolchain(
                 f"gcov does not accept {' '.join(GCOV_FLAGS)}; GCC 9 or later is needed")
 
 
+def _gcov_version() -> str | None:
+    """The version line of gcov, or None if it refuses GCOV_FLAGS: it exits 1
+    at the first unknown option. So one process checks and names it."""
+    return _first_line(shutil.which("gcov"), *GCOV_FLAGS, "--version")
+
+
 @functools.cache
-def _gcov_version(gcov: str) -> str | None:
-    """The version line `gcov` prints, or None if it refuses GCOV_FLAGS: it
-    exits 1 at the first unknown option. So one process checks and names it."""
+def _first_line(*cmd: str) -> str | None:
+    """The first line `cmd` prints, or None if it fails; each runs once per process."""
     try:
-        proc = subprocess.run([gcov, *GCOV_FLAGS, "--version"], capture_output=True,
-                              text=True, timeout=10, check=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10, check=True)
     except (OSError, subprocess.SubprocessError):
         return None
-    return proc.stdout.splitlines()[0] if proc.stdout else "unknown"
+    return proc.stdout.partition("\n")[0]
 
 
 @functools.cache
@@ -223,8 +227,9 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> Path:
     # One gcc process compiles and links. `-dumpdir ./` names the note file
     # `<stem>.gcno` after the source, not after the binary, and the .gcda path
     # compiled into the target stays absolute. The shim comes last, so its
-    # constructor runs after the target's own.
-    cmd = ["gcc", *_build_flags(), "-dumpdir", "./", local_source.name, shim.name,
+    # constructor runs after the target's own. The source goes in as `./<name>`,
+    # here and to gcov, so a name such as `-g.c` is never read as an option.
+    cmd = ["gcc", *_build_flags(), "-dumpdir", "./", f"./{local_source.name}", shim.name,
            "-o", binary.name]
     proc = subprocess.run(cmd, cwd=target.build_dir, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -265,25 +270,14 @@ def _write_manifest(target: PreparedTarget) -> None:
         "python": sys.version.split()[0],
     }
     if target.language is Language.C:
-        manifest["gcc"] = _tool_version("gcc")
-        manifest["gcov"] = _gcov_version(shutil.which("gcov"))
+        manifest["gcc"] = _first_line("gcc", "--version") or "unknown"
+        manifest["gcov"] = _gcov_version()
         manifest["build_flags"] = _build_flags()
         manifest["linker"] = "gold" if _links_with_gold() else "default"
         manifest["gcov_flags"] = GCOV_FLAGS
     (target.workdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-
-
-@functools.cache
-def _tool_version(tool: str) -> str:
-    try:
-        out = subprocess.run(
-            [tool, "--version"], capture_output=True, text=True, timeout=10
-        )
-        return out.stdout.splitlines()[0] if out.stdout else "unknown"
-    except (OSError, subprocess.TimeoutExpired, IndexError):
-        return "unknown"
 
 
 def run_test(
@@ -323,7 +317,7 @@ def collect_raw_coverage(target: PreparedTarget) -> dict:
 def _collect_gcov(target: PreparedTarget) -> dict:
     source_name = target.source_name
     proc = subprocess.run(
-        ["gcov", *GCOV_FLAGS, source_name],
+        ["gcov", *GCOV_FLAGS, f"./{source_name}"],
         cwd=target.build_dir,
         capture_output=True,
         text=True,

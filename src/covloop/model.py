@@ -26,11 +26,6 @@ class InputKind(enum.Enum):
     CHAR = "char"
 
 
-class BackendKind(enum.Enum):
-    STUB = "stub"
-    HTTP = "http"
-
-
 class Termination(enum.Enum):
     THRESHOLD_MET = "threshold_met"
     K_MAX_REACHED = "k_max_reached"
@@ -135,7 +130,6 @@ class RunConfig:
     threshold: float = 90.0
     k_max: int = 10
     per_test_timeout: float = 5.0
-    backend: BackendKind = BackendKind.STUB
     model_id: str = "stub"
     workdir: Path = Path("covloop_out")
     endpoint: str | None = None

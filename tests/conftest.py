@@ -10,7 +10,7 @@ import subprocess
 import pytest
 
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
-from covloop.model import BackendKind, RunConfig
+from covloop.model import RunConfig
 
 
 # C target: one comparison-guarded branch pair, reachable only with 42.
@@ -309,9 +309,7 @@ def require_interpreter(minor):
 
 
 def make_config(tmp_path, **overrides) -> RunConfig:
-    defaults = dict(workdir=tmp_path / "out", backend=BackendKind.STUB)
-    defaults.update(overrides)
-    return RunConfig(**defaults)
+    return RunConfig(**{"workdir": tmp_path / "out", **overrides})
 
 
 def artifact_fields(report) -> dict:

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covloop.cache import TestSuiteCache, canonical_key, render_key
-from covloop.errors import PersistError
 from covloop.model import TestCase
 
 # Values a TestCase accepts: no line breaks, no lone surrogates (not UTF-8).
@@ -86,7 +85,7 @@ class TestPersist:
 
     def test_unwritable_directory_raises(self, tmp_path):
         missing = tmp_path / "not" / "created"
-        with pytest.raises(PersistError) as exc:
+        with pytest.raises(FileNotFoundError) as exc:
             TestSuiteCache.persist_novel([TestCase(("a",))], missing, 0)
         assert "test_0000.txt" in str(exc.value)
 

@@ -9,7 +9,9 @@ import pytest
 
 import covloop
 from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_interpreter
-from covloop.cli import main
+from covloop.backends import API_KEY_ENV, HttpBackend, StubBackend, make_backend
+from covloop.cli import _config_from_args, build_parser, main
+from covloop.model import RunConfig
 
 
 TIMEOUT_LIMIT = "argument --timeout: per_test_timeout must be at most 86400 seconds: "
@@ -104,10 +106,27 @@ class TestRunCommand:
             main(["run"])  # missing source argument
         assert exc.value.code == 64
 
-    def test_unknown_backend_rejected(self, tmp_path, guard_c):
+    def test_backend_is_an_unknown_flag(self, guard_c):
         with pytest.raises(SystemExit) as exc:
-            main(["run", str(guard_c), "--backend", "carrier-pigeon"])
+            main(["run", str(guard_c), "--backend", "http"])
         assert exc.value.code == 64
+
+    def test_endpoint_without_credential_exits_one(self, tmp_path, guard_c, monkeypatch, capsys):
+        # The endpoint alone picks the HTTP backend, which refuses to start
+        # without its credential, before the workdir is made.
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+        out = tmp_path / "out"
+        code = main(["run", str(guard_c), "--endpoint", "http://127.0.0.1:9/x",
+                     "--out", str(out)])
+        assert code == 1
+        assert f"${API_KEY_ENV}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_source_named_like_an_option(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-g.c").write_text(GUARD_C)
+        assert main(["run", "./-g.c", "--out", "out"]) == 0
+        assert "branch coverage: 100.00%" in capsys.readouterr().out
 
     def test_source_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         target = tmp_path / "latin1.c"
@@ -126,6 +145,20 @@ class TestRunCommand:
         assert exc.value.code == 64
         assert f"covloop run: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRunConfig:
+    def test_flag_defaults_are_the_config_defaults(self):
+        assert _config_from_args(build_parser().parse_args(["run", "x.c"])) == RunConfig()
+
+    def test_no_endpoint_is_the_stub(self):
+        assert isinstance(make_backend(RunConfig()), StubBackend)
+
+    def test_an_endpoint_is_the_http_backend(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "k")
+        backend = make_backend(RunConfig(endpoint="http://127.0.0.1:9/x", model_id="m"))
+        assert isinstance(backend, HttpBackend)
+        assert (backend.endpoint, backend.model_id) == ("http://127.0.0.1:9/x", "m")
 
 
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
@@ -204,6 +237,16 @@ class TestBenchCommand:
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
         assert any(row.startswith("broken,-,ERROR,ERROR") for row in rows)
+
+    def test_source_named_like_an_option_is_measured(self, tmp_path, bench_dir):
+        (bench_dir / "echo.c").unlink()
+        (bench_dir / "-g.c").write_text(GUARD_C)
+        out = tmp_path / "out"
+        assert main(["bench", str(bench_dir), "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["-g", "-", "100.00", "100.00"], ["guard", "-", "100.00", "100.00"],
+        ]
 
     def test_source_that_is_not_utf8_is_an_error_row(self, tmp_path, bench_dir):
         (bench_dir / "echo.c").unlink()

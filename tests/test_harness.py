@@ -170,14 +170,15 @@ class TestPrepareTarget:
             return real_run(cmd, *args, **kwargs)
 
         monkeypatch.setattr(harness.subprocess, "run", recording_run)
-        harness._gcov_version.cache_clear()
+        harness._first_line.cache_clear()
         target = prepare_c(tmp_path)
         prepare_c(tmp_path, work="again")
         # One gcov process both checks the flags and names gcov.
         gcov = [shutil.which("gcov"), *harness.GCOV_FLAGS, "--version"]
-        assert [cmd for cmd in spawned if "--version" in cmd] == [gcov]
+        assert [list(cmd) for cmd in spawned if "--version" in cmd] == [gcov, ["gcc", "--version"]]
         manifest = json.loads((target.workdir / "manifest.json").read_text())
-        assert manifest["gcc"]
+        assert manifest["gcc"] == subprocess.run(
+            ["gcc", "--version"], capture_output=True, text=True).stdout.splitlines()[0]
         assert manifest["gcov"] == subprocess.run(
             ["gcov", "--version"], capture_output=True, text=True).stdout.splitlines()[0]
 
