@@ -6,27 +6,29 @@ first (offsets and line breaks stay put), then each `scanf(` or
 `fscanf(stdin,` call is matched with one pattern and the conversions of its
 literal format string are typed: `d i u` integer, `a e f g` in either case
 float, `c` char, `s` string; `%n` is not a read, and anything else reads a
-string with a warning. A read whose format is not a closed literal is warned
-about and not counted. Reads inside loops are counted once per textual site
-and flagged with a warning, since their runtime repetition count is not
-statically known here.
+string. A read whose format is not a closed literal is not counted. Reads
+inside loops are counted once per textual site, since their runtime
+repetition count is not statically known here.
+
+What the scan cannot type or count it logs at INFO (shown by `covloop -v`),
+with the line where it has one: a read inside a loop, direct `sys.stdin`
+access, a C read without a closed literal format, a conversion it cannot
+type, and `getchar`, `gets` or `fgets(..., stdin)`.
 """
 
 from __future__ import annotations
 
 import ast
+import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CompileError, UnsupportedLanguage
 from .model import InputKind, InputSignature, Language
 
+log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class AnalyzerWarning:
-    message: str
-    line: int | None = None
+LOOP_READ = "stdin read inside a loop; counted once per textual site"
 
 
 # A source's suffix decides its language.
@@ -43,15 +45,11 @@ def detect_language(path: str | Path) -> Language:
         ) from None
 
 
-def extract_input_signature(
-    source: str, language: Language
-) -> tuple[InputSignature, list[AnalyzerWarning]]:
+def extract_input_signature(source: str, language: Language) -> InputSignature:
     """Count stdin reads and classify each one, in source order."""
     if language is Language.PYTHON:
-        kinds, warnings = _scan_python(source)
-    else:
-        kinds, warnings = _scan_c(source)
-    return tuple(kinds), warnings
+        return _scan_python(source)
+    return _scan_c(source)
 
 
 # --- Python scanning ---
@@ -59,7 +57,7 @@ def extract_input_signature(
 _PY_CASTS = {"int": InputKind.INTEGER, "float": InputKind.FLOAT}
 
 
-def _scan_python(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
+def _scan_python(source: str) -> InputSignature:
     try:
         tree = ast.parse(source, "<target>")
     except (SyntaxError, ValueError) as exc:
@@ -90,27 +88,20 @@ def _scan_python(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
                 if isinstance(child, ast.AST):
                     stack.append((child, child_in_loop))
 
-    kinds: list[InputKind] = []
-    warnings: list[AnalyzerWarning] = []
-    for lineno, _, kind, in_loop in sorted(reads):
-        kinds.append(kind)
+    reads.sort()
+    for lineno, _, _, in_loop in reads:
         if in_loop:
-            warnings.append(
-                AnalyzerWarning(
-                    "stdin read inside a loop; counted once per textual site",
-                    line=lineno,
-                )
-            )
+            log.info("line %d: %s", lineno, LOOP_READ)
     if reads_stdin:
-        warnings.append(AnalyzerWarning("direct sys.stdin access is not classified"))
-    return kinds, warnings
+        log.info("direct sys.stdin access is not classified")
+    return tuple(kind for _, _, kind, _ in reads)
 
 
 # --- C scanning ---
 
 # Conversion classification: d/i/u, a/e/f/g in either case, c and s are
 # typed; %n stores a count and reads nothing; anything else is a read we cannot
-# type, so it degrades to string with a warning.
+# type, so it degrades to string and is logged.
 _C_KIND_BY_CONV = {
     **dict.fromkeys("diu", InputKind.INTEGER),
     **dict.fromkeys("aAeEfFgG", InputKind.FLOAT),
@@ -135,54 +126,39 @@ _C_STDIN_READ = re.compile(r"\b(?:scanf\s*\(|fscanf\s*\(\s*stdin\s*,)\s*")
 _C_UNCOUNTED_READS = re.compile(r"\b(?:getchar|gets)\s*\(|\bfgets\s*\([^)]*\bstdin\b")
 
 
-def _scan_c(source: str) -> tuple[list[InputKind], list[AnalyzerWarning]]:
+def _scan_c(source: str) -> InputSignature:
     blanked, strings = _blank_c_lexemes(source)
     kinds: list[InputKind] = []
-    warnings: list[AnalyzerWarning] = []
     loop_lines = _c_loop_lines(blanked)
 
     for m in _C_STDIN_READ.finditer(blanked):
         lineno = blanked.count("\n", 0, m.start()) + 1
         fmt = strings.get(m.end())
         if fmt is None:
-            warnings.append(
-                AnalyzerWarning("stdin read without a literal format string", lineno)
-            )
+            log.info("line %d: stdin read without a literal format string", lineno)
             continue
-        specs, unknown = _parse_conversions(fmt)
+        specs = _parse_conversions(fmt, lineno)
         kinds.extend(specs)
-        for conv in unknown:
-            warnings.append(
-                AnalyzerWarning(
-                    f"unclassified conversion %{conv}; treated as string", lineno
-                )
-            )
         if lineno in loop_lines and specs:
-            warnings.append(
-                AnalyzerWarning(
-                    "stdin read inside a loop; counted once per textual site", lineno
-                )
-            )
+            log.info("line %d: %s", lineno, LOOP_READ)
     if _C_UNCOUNTED_READS.search(blanked):
-        warnings.append(
-            AnalyzerWarning("character/line read functions present but not counted")
-        )
-    return kinds, warnings
+        log.info("character/line read functions present but not counted")
+    return tuple(kinds)
 
 
-def _parse_conversions(fmt: str) -> tuple[list[InputKind], list[str]]:
-    """A kind per conversion specifier of one format string, and the unclassified ones."""
+def _parse_conversions(fmt: str, lineno: int) -> list[InputKind]:
+    """A kind per conversion specifier of the format string on that line."""
     kinds: list[InputKind] = []
-    unknown: list[str] = []
     for m in _C_CONVERSION.finditer(fmt):
         conv = m.group(1)
         if not conv or conv == "n":
             continue
         kind = _C_KIND_BY_CONV.get(conv)
         if kind is None:
-            unknown.append(conv)
+            log.info("line %d: unclassified conversion %%%s; treated as string",
+                     lineno, conv)
         kinds.append(kind or InputKind.STRING)
-    return kinds, unknown
+    return kinds
 
 
 def _blank_c_lexemes(source: str) -> tuple[str, dict[int, str]]:
@@ -206,7 +182,7 @@ def _blank_c_lexemes(source: str) -> tuple[str, dict[int, str]]:
 def _c_loop_lines(blanked: str) -> set[int]:
     """Line numbers inside any brace-delimited loop body (best effort).
 
-    Loop bodies without braces are not detected; the warning this feeds is
+    Loop bodies without braces are not detected; the finding this feeds is
     advisory only.
     """
     loop_lines: set[int] = set()

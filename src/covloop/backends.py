@@ -8,7 +8,7 @@ function of the prompt, whose source and gap line ANALYST_PROMPT_RE reads back.
 When the prompt carries an "Additional Focus Areas" section, integer and char
 literals found there are substituted into matching input slots (cartesian
 product, capped), which is what lets feedback flip comparison-guarded
-branches offline.
+branches offline. A reply may repeat a case; the cache drops repeats.
 """
 
 from __future__ import annotations
@@ -107,18 +107,15 @@ def _stub_test_cases(prompt: str, batch_index: int) -> list[list[str]]:
         for s, kind in enumerate(kinds):
             values = _BOUNDARY_VALUES[kind]
             case.append(values[(batch_index * _BATCH_SIZE + j + s) % len(values)])
-        if case not in cases:
-            cases.append(case)
+        cases.append(case)
 
     focus = _focus_section(prompt)
     if focus:
-        cases.extend(_focus_cases(kinds, focus, cases))
+        cases.extend(_focus_cases(kinds, focus))
     return cases
 
 
-def _focus_cases(
-    kinds: list[InputKind], focus: str, existing: list[list[str]]
-) -> list[list[str]]:
+def _focus_cases(kinds: list[InputKind], focus: str) -> list[list[str]]:
     ints = sorted({int(v) for v in _FOCUS_INT_RE.findall(focus)})
     chars = sorted({c for c in _FOCUS_CHAR_RE.findall(focus)})
     per_slot: list[list[str]] = []
@@ -134,12 +131,8 @@ def _focus_cases(
             per_slot.append([_FOCUS_FILL[kind]])
     if not substituted:
         return []
-    out: list[list[str]] = []
-    for combo in itertools.islice(itertools.product(*per_slot), _FOCUS_CASE_CAP):
-        case = list(combo)
-        if case not in existing and case not in out:
-            out.append(case)
-    return out
+    return [list(combo) for combo in
+            itertools.islice(itertools.product(*per_slot), _FOCUS_CASE_CAP)]
 
 
 def _stub_refinement(prompt: str) -> dict:

@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import EXTENSIONS
+from .backends import make_backend
 from .driver import RunResult, run_loop
 from .errors import ContractViolation, CovloopError
 from .model import RunConfig, Termination, format_pct
@@ -141,6 +142,13 @@ def bench_run(args, config: RunConfig) -> int:
     directory: Path = args.directory
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        # Refuse a backend that cannot start once, before --out is made; each
+        # target still builds its own, so each stub run starts afresh.
+        make_backend(config)
+    except ContractViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)

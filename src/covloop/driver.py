@@ -103,9 +103,7 @@ def run_loop(
         source = source_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"{source_path} is not UTF-8 text: {exc}") from exc
-    signature, warnings = extract_input_signature(source, language)
-    for warning in warnings:
-        log.info("analyzer: %s (line %s)", warning.message, warning.line)
+    signature = extract_input_signature(source, language)
 
     backend = backend or make_backend(config)
     with (harness.prepare_target(source_path, config.workdir) as target,

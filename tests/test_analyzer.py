@@ -1,8 +1,10 @@
 """Tests for language detection and input-signature extraction."""
 
+import logging
+
 import pytest
 
-from covloop.analyzer import detect_language, extract_input_signature
+from covloop.analyzer import LOOP_READ, detect_language, extract_input_signature
 from covloop.errors import UnsupportedLanguage
 from covloop.model import InputKind, Language
 
@@ -25,13 +27,26 @@ class TestDetectLanguage:
 
 
 def kinds_of(source, language):
-    sig, _ = extract_input_signature(source, language)
-    return list(sig)
+    return list(extract_input_signature(source, language))
+
+
+@pytest.fixture
+def logged(caplog):
+    """Read and clear the findings the analyzer logged since the last call."""
+    caplog.set_level(logging.INFO, logger="covloop.analyzer")
+
+    def messages():
+        records = [r for r in caplog.records if r.name == "covloop.analyzer"]
+        caplog.clear()
+        assert all(r.levelno == logging.INFO for r in records)
+        return [r.getMessage() for r in records]
+
+    return messages
 
 
 class TestPythonScan:
     def test_int_then_plain(self):
-        sig, _ = extract_input_signature(
+        sig = extract_input_signature(
             "x = int(input())\ny = input()", Language.PYTHON
         )
         assert len(sig) == 2
@@ -41,7 +56,7 @@ class TestPythonScan:
         assert kinds_of("v = float(input())", Language.PYTHON) == [FLT]
 
     def test_no_reads(self):
-        sig, _ = extract_input_signature("print('hello')", Language.PYTHON)
+        sig = extract_input_signature("print('hello')", Language.PYTHON)
         assert len(sig) == 0
         assert sig == ()
         assert kinds_of("obj.input()", Language.PYTHON) == []
@@ -56,34 +71,45 @@ class TestPythonScan:
     def test_read_inside_comment_not_counted(self):
         assert kinds_of("# x = input()\ny = 1", Language.PYTHON) == []
 
-    def test_loop_read_warns(self):
+    def test_loop_read_warns(self, logged):
         source = "while True:\n    v = input()\n"
-        sig, warnings = extract_input_signature(source, Language.PYTHON)
+        sig = extract_input_signature(source, Language.PYTHON)
         assert len(sig) == 1
-        assert any("loop" in w.message for w in warnings)
+        assert logged() == [f"line 2: {LOOP_READ}"]
 
-    def test_top_level_read_does_not_warn_about_loops(self):
-        _, warnings = extract_input_signature("v = input()\n", Language.PYTHON)
-        assert not any("loop" in w.message for w in warnings)
+    def test_loop_reads_are_logged_in_source_order(self, logged):
+        source = ("for i in range(2):\n    a = input()\n    b = int(input())\n"
+                  "while 1:\n    d = {input(): input()}\n")
+        assert kinds_of(source, Language.PYTHON) == [STR, INT, STR, STR]
+        assert logged() == [f"line {n}: {LOOP_READ}" for n in (2, 3, 5, 5)]
 
-    def test_read_after_loop_block_does_not_warn(self):
+    def test_top_level_read_does_not_warn_about_loops(self, logged):
+        assert kinds_of("v = input()\n", Language.PYTHON) == [STR]
+        assert logged() == []
+
+    def test_read_after_loop_block_does_not_warn(self, logged):
         source = "for i in range(3):\n    print(i)\nv = input()\n"
-        _, warnings = extract_input_signature(source, Language.PYTHON)
-        assert not any("loop" in w.message for w in warnings)
+        assert kinds_of(source, Language.PYTHON) == [STR]
+        assert logged() == []
         source = "for i in range(3):\n    print(i)\nelse:\n    v = input()\n"
-        _, warnings = extract_input_signature(source, Language.PYTHON)
-        assert not any("loop" in w.message for w in warnings)
+        assert kinds_of(source, Language.PYTHON) == [STR]
+        assert logged() == []
+
+    def test_direct_stdin_access_is_logged(self, logged):
+        source = "import sys\nx = int(input())\ndata = sys.stdin.read()\n"
+        assert kinds_of(source, Language.PYTHON) == [INT]
+        assert logged() == ["direct sys.stdin access is not classified"]
 
     def test_pure_function_of_source(self):
         source = "a = int(input())\nb = float(input())\n"
-        first, _ = extract_input_signature(source, Language.PYTHON)
-        second, _ = extract_input_signature(source, Language.PYTHON)
+        first = extract_input_signature(source, Language.PYTHON)
+        second = extract_input_signature(source, Language.PYTHON)
         assert first == second
 
 
 class TestCScan:
     def test_two_ints_one_call(self):
-        sig, _ = extract_input_signature(
+        sig = extract_input_signature(
             'int main(){int a,b;scanf("%d %d",&a,&b);return 0;}', Language.C
         )
         assert len(sig) == 2
@@ -105,47 +131,46 @@ class TestCScan:
     def test_suppressed_conversion_still_consumes(self):
         assert kinds_of('scanf("%*d %d", &x);', Language.C) == [INT, INT]
 
-    def test_unknown_conversion_defaults_to_string_with_warning(self):
-        sig, warnings = extract_input_signature('scanf("%x", &x);', Language.C)
-        assert list(sig) == [STR]
-        assert any("unclassified" in w.message for w in warnings)
+    def test_unknown_conversion_defaults_to_string_with_warning(self, logged):
+        sig = extract_input_signature('int x;\nscanf("%d %x", &x, &x);', Language.C)
+        assert list(sig) == [INT, STR]
+        assert logged() == ["line 2: unclassified conversion %x; treated as string"]
 
-    def test_scanset_reads_a_string(self):
-        sig, warnings = extract_input_signature('scanf("%[a-z]", s);', Language.C)
+    def test_scanset_reads_a_string(self, logged):
+        sig = extract_input_signature('scanf("%[a-z]", s);', Language.C)
         assert list(sig) == [STR]
-        assert warnings
+        assert logged() == ["line 1: unclassified conversion %[a-z]; treated as string"]
 
     def test_fscanf_stdin_counted(self):
         assert kinds_of('fscanf(stdin, "%d", &x);', Language.C) == [INT]
 
-    def test_fscanf_file_not_counted(self):
-        sig, warnings = extract_input_signature('fscanf(fp, "%d", &x);', Language.C)
+    def test_fscanf_file_not_counted(self, logged):
+        sig = extract_input_signature('fscanf(fp, "%d", &x);', Language.C)
         assert sig == ()
-        assert warnings == []
+        assert logged() == []
 
-    def test_format_not_a_closed_literal_warns(self):
-        for source in ('scanf(fmt, &x);', 'scanf("%d'):
-            sig, warnings = extract_input_signature(source, Language.C)
+    def test_format_not_a_closed_literal_warns(self, logged):
+        for source in ('scanf(fmt, &x);', 'int x;\n\nscanf("%d'):
+            sig = extract_input_signature(source, Language.C)
             assert sig == ()
-            assert [w.message for w in warnings] == [
-                "stdin read without a literal format string"
-            ]
+            line = source.count("\n") + 1
+            assert logged() == [f"line {line}: stdin read without a literal format string"]
 
     def test_comment_before_format_literal_still_counts(self):
         assert kinds_of('scanf(/* fmt */ "%d", &x);', Language.C) == [INT]
         assert kinds_of('fscanf(stdin, // fmt\n "%c", &c);', Language.C) == [CHR]
 
-    def test_count_conversion_is_not_a_read(self):
-        sig, warnings = extract_input_signature('scanf("%d%n", &x, &n);', Language.C)
+    def test_count_conversion_is_not_a_read(self, logged):
+        sig = extract_input_signature('scanf("%d%n", &x, &n);', Language.C)
         assert list(sig) == [INT]
-        assert warnings == []
+        assert logged() == []
 
-    def test_float_conversions(self):
-        sig, warnings = extract_input_signature(
+    def test_float_conversions(self, logged):
+        sig = extract_input_signature(
             'double d; scanf("%lg %a %A %e %E %F %g %G", &d);', Language.C
         )
         assert list(sig) == [FLT] * 8
-        assert warnings == []
+        assert logged() == []
 
     def test_scanf_in_comment_not_counted(self):
         assert kinds_of('/* scanf("%d", &x); */ int y;', Language.C) == []
@@ -155,23 +180,43 @@ class TestCScan:
         assert kinds_of('printf("scanf(%d) docs");', Language.C) == []
         assert kinds_of('char q = \'"\';\nscanf("%d", &x);', Language.C) == [INT]
 
-    def test_loop_read_warns(self):
+    def test_loop_read_warns(self, logged):
         source = 'int main(){int i,x;for(i=0;i<3;i++){scanf("%d",&x);}return 0;}'
-        sig, warnings = extract_input_signature(source, Language.C)
+        sig = extract_input_signature(source, Language.C)
         assert len(sig) == 1
-        assert any("loop" in w.message for w in warnings)
+        assert logged() == [f"line 1: {LOOP_READ}"]
 
-    def test_straight_line_read_does_not_warn(self):
+    def test_findings_of_one_read_are_logged_in_order(self, logged):
+        source = ('int main(void){\n  int x;\n  while (1) {\n'
+                  '    scanf("%x %d", &x, &x);\n    scanf(fmt);\n  }\n}\n')
+        assert kinds_of(source, Language.C) == [STR, INT]
+        assert logged() == [
+            "line 4: unclassified conversion %x; treated as string",
+            f"line 4: {LOOP_READ}",
+            "line 5: stdin read without a literal format string",
+        ]
+
+    def test_straight_line_read_does_not_warn(self, logged):
         source = 'int main(){int x;scanf("%d",&x);return 0;}'
-        _, warnings = extract_input_signature(source, Language.C)
-        assert not any("loop" in w.message for w in warnings)
+        assert kinds_of(source, Language.C) == [INT]
+        assert logged() == []
 
-    def test_getchar_warns_without_counting(self):
-        sig, warnings = extract_input_signature(
+    def test_getchar_warns_without_counting(self, logged):
+        sig = extract_input_signature(
             "int main(){int c=getchar();return 0;}", Language.C
         )
         assert len(sig) == 0
-        assert warnings
+        assert logged() == ["character/line read functions present but not counted"]
+
+    @pytest.mark.parametrize("call", ["gets(b)", "fgets(b, 8, stdin)"])
+    def test_line_reads_warn_without_counting(self, logged, call):
+        source = f"int main(){{char b[8];{call};return 0;}}"
+        assert kinds_of(source, Language.C) == []
+        assert logged() == ["character/line read functions present but not counted"]
+
+    def test_fgets_from_a_file_logs_nothing(self, logged):
+        assert kinds_of("int main(){char b[8];fgets(b, 8, fp);return 0;}", Language.C) == []
+        assert logged() == []
 
 
 def test_kinds_length_always_matches_count():
@@ -181,6 +226,6 @@ def test_kinds_length_always_matches_count():
         ("", Language.PYTHON, 0),
     ]
     for source, language, count in sources:
-        sig, _ = extract_input_signature(source, language)
+        sig = extract_input_signature(source, language)
         assert len(sig) == count
         assert all(isinstance(kind, InputKind) for kind in sig)

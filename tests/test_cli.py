@@ -3,12 +3,14 @@
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import covloop
 from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_interpreter
+from covloop.analyzer import LOOP_READ
 from covloop.backends import API_KEY_ENV, HttpBackend, StubBackend, make_backend
 from covloop.cli import _config_from_args, build_parser, main
 from covloop.model import RunConfig
@@ -27,6 +29,32 @@ OUT_OF_RANGE = pytest.mark.parametrize("flag, value, message", [
 
 # A C program that gcc compiles, with a Latin-1 "e acute" in a comment.
 LATIN1_C = b"/* caf\xe9 */\n" + GUARD_C.encode()
+
+# A C program whose one read sits inside a braced loop, on line 5.
+LOOP_READ_C = """\
+#include <stdio.h>
+int main(void) {
+    int i, x = 0;
+    for (i = 0; i < 2; i++) {
+        if (scanf("%d", &x) == 1 && x > 3)
+            puts("big");
+    }
+    return 0;
+}
+"""
+
+# A char read: the stub's char values cycle with the batch, unlike its
+# integer values, so the cases show which batches a run was sent.
+CHAR_GUARD_C = """\
+#include <stdio.h>
+int main(void) {
+    char c = 0;
+    scanf(" %c", &c);
+    if (c == 'q')
+        puts("quit");
+    return 0;
+}
+"""
 
 
 class TestRunCommand:
@@ -122,6 +150,26 @@ class TestRunCommand:
         assert f"${API_KEY_ENV}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verbose", [True, False])
+    def test_analyzer_findings_show_only_with_verbose(self, tmp_path, verbose):
+        # In a child process: under pytest the root logger already has
+        # handlers, so main's logging.basicConfig would not write to stderr.
+        target = tmp_path / "loop.c"
+        target.write_text(LOOP_READ_C)
+        flags = ["-v"] if verbose else []
+        env = {**os.environ, "PYTHONPATH": str(Path(covloop.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "covloop.cli", *flags, "run", str(target),
+             "--max-iters", "1", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        finding = f"INFO covloop.analyzer: line 5: {LOOP_READ}\n"
+        if verbose:
+            assert proc.stderr.count(finding) == 1
+        else:
+            assert proc.stderr == ""
+
     def test_source_named_like_an_option(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "-g.c").write_text(GUARD_C)
@@ -204,6 +252,36 @@ class TestBenchCommand:
         assert (f"covloop bench: error: argument --jobs: must be >= 1: {jobs}\n"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_endpoint_without_credential_exits_one_before_out_is_made(
+            self, tmp_path, bench_dir, monkeypatch, capsys):
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+        out = tmp_path / "bench_out"
+        code = main(["bench", str(bench_dir), "--endpoint", "http://127.0.0.1:9/x",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: an endpoint needs a credential in ${API_KEY_ENV}\n")
+        assert not out.exists()
+
+    def test_each_stub_target_starts_afresh(self, tmp_path):
+        # Two copies of one program get the same cases, in the same order, as
+        # a run of it alone: no stub state carries over between targets.
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        for name in ("a.c", "b.c"):
+            (suite / name).write_text(CHAR_GUARD_C)
+        out = tmp_path / "out"
+        assert main(["bench", str(suite), "--out", str(out)]) == 0
+        assert main(["run", str(suite / "a.c"), "--out", str(tmp_path / "alone")]) == 0
+
+        def cases(workdir):
+            return {p.name: p.read_text() for p in (workdir / "TestCases").iterdir()}
+
+        alone = cases(tmp_path / "alone")
+        assert len(alone) > 3
+        assert cases(out / "a__-") == alone
+        assert cases(out / "b__-") == alone
 
     def test_reports_written_with_one_row_per_target(self, tmp_path, bench_dir, capsys):
         out = tmp_path / "bench_out"
