@@ -127,15 +127,19 @@ def complete(
                             f"attempts: {last_error}")
 
 
-def cases_from_payload(payload: dict, expected_count: int) -> list[TestCase]:
-    """Map a validated test_cases payload to TestCase values.
+def parse_and_filter(
+    raw: AgentResponse, cache: TestSuiteCache, expected_count: int
+) -> list[TestCase]:
+    """Insert the reply's cases into the cache; return, in reply order, the
+    ones it added.
 
-    Inner lists whose length disagrees with the target's input count are
-    dropped (logged), as are values that cannot be a single stdin line of
-    UTF-8 text.
+    A case is dropped (logged) when its length disagrees with the target's
+    input count, or when a value cannot be a single stdin line of UTF-8
+    text. A case whose canonical key the cache already holds, from an
+    earlier reply or from earlier in this one, is dropped silently.
     """
-    cases: list[TestCase] = []
-    for raw_case in payload["test_cases"]:
+    novel: list[TestCase] = []
+    for raw_case in raw.parsed["test_cases"]:
         if len(raw_case) != expected_count:
             log.warning(
                 "dropping case with %d values (target reads %d): %r",
@@ -143,21 +147,13 @@ def cases_from_payload(payload: dict, expected_count: int) -> list[TestCase]:
             )
             continue
         try:
-            cases.append(TestCase(values=tuple(raw_case)))
+            tc = TestCase(values=tuple(raw_case))
         except ContractViolation as exc:
             log.warning("dropping unusable case %r: %s", raw_case, exc)
-    return cases
-
-
-def parse_and_filter(
-    raw: AgentResponse, cache: TestSuiteCache, expected_count: int
-) -> list[TestCase]:
-    """Insert the reply's cases into the cache; return, in reply order, the
-    ones it added. A case whose canonical key the cache already holds, from
-    an earlier reply or from earlier in this one, is dropped.
-    """
-    return [tc for tc in cases_from_payload(raw.parsed, expected_count)
-            if cache.insert_if_novel(tc)]
+            continue
+        if cache.insert_if_novel(tc):
+            novel.append(tc)
+    return novel
 
 
 def line_feedback(

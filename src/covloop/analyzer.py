@@ -8,7 +8,9 @@ literal format string are typed: `d i u` integer, `a e f g` in either case
 float, `c` char, `s` string; `%n` is not a read, and anything else reads a
 string. A read whose format is not a closed literal is not counted. Reads
 inside loops are counted once per textual site, since their runtime
-repetition count is not statically known here.
+repetition count is not statically known here. In Python a loop is a loop's
+body, a `while` test, or a comprehension past its first iterable; in C, a
+loop's header and its braced or unbraced body.
 
 What the scan cannot type or count it logs at INFO (shown by `covloop -v`),
 with the line where it has one: a read inside a loop, direct `sys.stdin`
@@ -80,13 +82,10 @@ def _scan_python(source: str) -> InputSignature:
         ):
             reads_stdin = True
         for field, value in ast.iter_fields(node):
-            # Only a loop's body repeats a read; its header and else: run once.
-            child_in_loop = in_loop or (
-                field == "body" and isinstance(node, (ast.For, ast.While))
-            )
-            for child in value if isinstance(value, list) else (value,):
+            children = value if isinstance(value, list) else (value,)
+            for i, child in enumerate(children):
                 if isinstance(child, ast.AST):
-                    stack.append((child, child_in_loop))
+                    stack.append((child, in_loop or _repeats(node, field, i)))
 
     reads.sort()
     for lineno, _, _, in_loop in reads:
@@ -95,6 +94,24 @@ def _scan_python(source: str) -> InputSignature:
     if reads_stdin:
         log.info("direct sys.stdin access is not classified")
     return tuple(kind for _, _, kind, _ in reads)
+
+
+_PY_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _repeats(node: ast.AST, field: str, index: int) -> bool:
+    """Whether `node.<field>[index]` can run more than once each time `node`
+    runs: a loop's body, a `while` test, and all of a comprehension but its
+    first iterable. A `for` header and a loop's `else:` run once."""
+    if isinstance(node, ast.For):
+        return field == "body"
+    if isinstance(node, ast.While):
+        return field in ("body", "test")
+    if isinstance(node, _PY_COMPREHENSIONS):
+        return field != "generators" or index > 0
+    if isinstance(node, ast.comprehension):
+        return field != "iter"
+    return False
 
 
 # --- C scanning ---
@@ -180,10 +197,10 @@ def _blank_c_lexemes(source: str) -> tuple[str, dict[int, str]]:
 
 
 def _c_loop_lines(blanked: str) -> set[int]:
-    """Line numbers inside any brace-delimited loop body (best effort).
-
-    Loop bodies without braces are not detected; the finding this feeds is
-    advisory only.
+    """Line numbers of tokens inside a loop (best effort): from a loop
+    keyword through its header, and then its braced body or its single
+    unbraced statement. A line counts whole, so a read that shares a line
+    with a loop counts as inside it; the finding this feeds is advisory only.
     """
     loop_lines: set[int] = set()
     stack: list[bool] = []
@@ -195,7 +212,7 @@ def _c_loop_lines(blanked: str) -> set[int]:
         if tok == "\n":
             lineno += 1
             continue
-        if any(stack):
+        if pending_loop or any(stack):
             loop_lines.add(lineno)
         if tok == "(":
             paren_depth += 1

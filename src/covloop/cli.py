@@ -202,8 +202,8 @@ def _write_reports(out: Path, rows) -> None:
             for k, record in enumerate(result.iterations):
                 writer.writerow([
                     program, k,
-                    format_pct(record.line_coverage),
-                    format_pct(record.branch_coverage),
+                    format_pct(record.report.line_coverage),
+                    format_pct(record.report.branch_coverage),
                 ])
 
 

@@ -171,14 +171,7 @@ def _iterate(
         if written is not None:
             written.result()
         evaluator.emit_artifact(report, target.coverage_dir / f"iter_{k}.json")
-        records.append(
-            IterationRecord(
-                novel_tests=len(novel),
-                line_coverage=report.line_coverage,
-                branch_coverage=report.branch_coverage,
-                duration=time.monotonic() - iter_started,
-            )
-        )
+        records.append(IterationRecord(len(novel), report, time.monotonic() - iter_started))
         log.info(
             "iteration %d: %d novel cases, line %s%%, branch %s%%",
             k, len(novel), format_pct(report.line_coverage),
@@ -247,20 +240,22 @@ def result_dict(result: RunResult) -> dict:
         "total_duration_sec": round(result.total_duration, 3),
         "executed_processes": result.executed_processes,
         "test_cases": len(result.cache),
-        "final_coverage": {
-            "line_coverage": float(format_pct(result.final_report.line_coverage)),
-            "branch_coverage": float(format_pct(result.final_report.branch_coverage)),
-            "total_coverage": float(format_pct(result.final_report.total_coverage)),
-        },
+        "final_coverage": _percentages(result.final_report),
         "iterations": [
             {
                 "k": k,
                 "novel_tests": r.novel_tests,
-                "line_coverage": float(format_pct(r.line_coverage)),
-                "branch_coverage": float(format_pct(r.branch_coverage)),
-                "total_coverage": float(format_pct(r.total_coverage)),
+                **_percentages(r.report),
                 "duration_sec": round(r.duration, 3),
             }
             for k, r in enumerate(result.iterations)
         ],
+    }
+
+
+def _percentages(report: CoverageReport) -> dict:
+    return {
+        "line_coverage": float(format_pct(report.line_coverage)),
+        "branch_coverage": float(format_pct(report.branch_coverage)),
+        "total_coverage": float(format_pct(report.total_coverage)),
     }

@@ -150,16 +150,11 @@ def _first_line(*cmd: str) -> str | None:
     return proc.stdout.partition("\n")[0]
 
 
-@functools.cache
 def _links_with_gold() -> bool:
     """Whether gcc can link with gold, which links a target faster than the
     default linker. Gold is deprecated upstream, so it may be missing or
     broken; then targets are linked with gcc's default linker."""
-    try:
-        return subprocess.run(["gcc", "-fuse-ld=gold", "-Wl,--version"], capture_output=True,
-                              timeout=10).returncode == 0
-    except (OSError, subprocess.TimeoutExpired):
-        return False
+    return _first_line("gcc", "-fuse-ld=gold", "-Wl,--version") is not None
 
 
 def _build_flags() -> list[str]:
@@ -229,14 +224,17 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> Path:
     # compiled into the target stays absolute. The shim comes last, so its
     # constructor runs after the target's own. The source goes in as `./<name>`,
     # here and to gcov, so a name such as `-g.c` is never read as an option.
-    cmd = ["gcc", *_build_flags(), "-dumpdir", "./", f"./{local_source.name}", shim.name,
-           "-o", binary.name]
-    proc = subprocess.run(cmd, cwd=target.build_dir, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CompileError(
-            f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}"
-        )
+    _gcc(*_build_flags(), "-dumpdir", "./", f"./{local_source.name}", shim.name,
+         "-o", binary.name, cwd=target.build_dir)
     return binary
+
+
+def _gcc(*args: str, cwd: Path | None = None) -> None:
+    """Run gcc; a failure raises CompileError with its command and stderr."""
+    cmd = ["gcc", *args]
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise CompileError(f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
 
 
 _shim_lock = threading.Lock()
@@ -254,11 +252,7 @@ def _compile_shim() -> bytes:
     # cc1 then peaks no higher than for a target, and lower than at -O2.
     with tempfile.TemporaryDirectory(prefix="covloop-") as scratch:
         out = Path(scratch) / "_forksrv.o"
-        cmd = ["gcc", "-O0", "-c", str(Path(__file__).with_name(_SHIM_NAME)), "-o", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise CompileError(
-                f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
+        _gcc("-O0", "-c", str(Path(__file__).with_name(_SHIM_NAME)), "-o", str(out))
         return out.read_bytes()
 
 

@@ -33,12 +33,6 @@ class Termination(enum.Enum):
     STAGNATED = "stagnated"
 
 
-def total_coverage(line_pct: float, branch_pct: float) -> float:
-    """Combine line and branch percentages into the single loop-exit metric:
-    their arithmetic mean."""
-    return (line_pct + branch_pct) / 2.0
-
-
 # The ordered kinds of the stdin reads one execution performs.
 InputSignature = tuple[InputKind, ...]
 
@@ -107,7 +101,8 @@ class CoverageReport:
 
     @property
     def total_coverage(self) -> float:
-        return total_coverage(self.line_coverage, self.branch_coverage)
+        """The single loop-exit metric: the mean of the two percentages."""
+        return (self.line_coverage + self.branch_coverage) / 2.0
 
 
 @dataclass(frozen=True)
@@ -154,13 +149,8 @@ class IterationRecord:
     Its iteration index is its position in the run's list of records."""
 
     novel_tests: int
-    line_coverage: float
-    branch_coverage: float
+    report: CoverageReport  # cumulative, after this iteration's tests
     duration: float
-
-    @property
-    def total_coverage(self) -> float:
-        return total_coverage(self.line_coverage, self.branch_coverage)
 
 
 def format_pct(value: float) -> str:

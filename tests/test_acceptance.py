@@ -274,8 +274,8 @@ def test_criterion_7_coverage_monotone_across_all_runs(tmp_path):
     )
     assert _ALL_RESULTS
     for result in _ALL_RESULTS:
-        lines = [r.line_coverage for r in result.iterations]
-        branches = [r.branch_coverage for r in result.iterations]
+        lines = [r.report.line_coverage for r in result.iterations]
+        branches = [r.report.branch_coverage for r in result.iterations]
         assert lines == sorted(lines)
         assert branches == sorted(branches)
     passed(7, f"monotone coverage over {len(_ALL_RESULTS)} runs")

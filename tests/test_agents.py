@@ -22,15 +22,21 @@ from covloop.agents import (
     line_feedback,
     parse_and_filter,
 )
-from covloop.backends import CompletionBackend, HttpBackend, SchemaId, StubBackend
+from covloop.backends import _BATCH_SIZE, CompletionBackend, HttpBackend, SchemaId, StubBackend
 from covloop.cache import TestSuiteCache
 from covloop.errors import ContractViolation, MalformedResponse, TransportError
 from covloop.model import (
     BranchGap,
+    FeedbackRefinement,
     InputKind,
     TestCase,
 )
-from covloop.prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR, build_baseline_prompt
+from covloop.prompts import (
+    MISSING_BRANCHES_ANCHOR,
+    MISSING_LINES_ANCHOR,
+    build_baseline_prompt,
+    merge_refinements,
+)
 
 SIG_1 = (InputKind.INTEGER,)
 SIG_2 = (InputKind.INTEGER, InputKind.STRING)
@@ -246,6 +252,29 @@ class TestGenerateTests:
         cases = self.generate(StubBackend())
         assert cases
         assert all(len(tc.values) == 2 for tc in cases)
+
+
+class TestStubBackend:
+    """The stub's generation replies to the prompts the loop renders."""
+
+    def cases(self, sig, focus=None):
+        bundle = build_baseline_prompt(sig, "")
+        if focus is not None:
+            bundle = merge_refinements(bundle, FeedbackRefinement("gap", (focus,)))
+        reply = StubBackend().raw_complete(bundle.render(), SchemaId.TEST_CASES)
+        return json.loads(reply)["test_cases"]
+
+    def test_a_target_without_inputs_gets_one_empty_case(self):
+        assert self.cases(()) == [[]]
+
+    def test_a_slot_without_a_focus_constant_gets_its_fill_value(self):
+        cases = self.cases(SIG_2, "try integer input 7")
+        assert cases[_BATCH_SIZE:] == [["7", "a"]]
+
+    def test_a_focus_without_constants_adds_no_case(self):
+        baseline = self.cases(SIG_2)
+        assert len(baseline) == _BATCH_SIZE
+        assert self.cases(SIG_2, "increase value diversity") == baseline
 
 
 class TestParseAndFilter:

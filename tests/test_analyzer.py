@@ -88,12 +88,30 @@ class TestPythonScan:
         assert logged() == []
 
     def test_read_after_loop_block_does_not_warn(self, logged):
-        source = "for i in range(3):\n    print(i)\nv = input()\n"
+        # Nor does a read in a part of a loop that runs once: a `for` header,
+        # an `else:`, a comprehension's first iterable.
+        for source in ("for i in range(3):\n    print(i)\nv = input()\n",
+                       "for i in range(3):\n    print(i)\nelse:\n    v = input()\n",
+                       "n = 0\nwhile n < 3:\n    n += 1\nv = input()\n",
+                       "for c in input():\n    print(c)\n",
+                       "cs = [c for c in input()]\n"):
+            assert kinds_of(source, Language.PYTHON) == [STR]
+            assert logged() == []
+
+    @pytest.mark.parametrize("source, lines", [
+        ("xs = [int(input()) for _ in range(3)]\n", [1]),
+        ("d = {input(): input() for _ in range(2)}\n", [1, 1]),
+        ("n = sum(1 for _ in range(3)\n        if input())\n", [2]),
+        ("ys = {y for x in range(2) for y in input()}\n", [1]),
+    ])
+    def test_comprehension_reads_are_loop_reads(self, logged, source, lines):
+        assert len(kinds_of(source, Language.PYTHON)) == len(lines)
+        assert logged() == [f"line {n}: {LOOP_READ}" for n in lines]
+
+    def test_while_test_read_is_a_loop_read(self, logged):
+        source = 'n = 0\nwhile input() != "q":\n    n += 1\n'
         assert kinds_of(source, Language.PYTHON) == [STR]
-        assert logged() == []
-        source = "for i in range(3):\n    print(i)\nelse:\n    v = input()\n"
-        assert kinds_of(source, Language.PYTHON) == [STR]
-        assert logged() == []
+        assert logged() == [f"line 2: {LOOP_READ}"]
 
     def test_direct_stdin_access_is_logged(self, logged):
         source = "import sys\nx = int(input())\ndata = sys.stdin.read()\n"
@@ -185,6 +203,26 @@ class TestCScan:
         sig = extract_input_signature(source, Language.C)
         assert len(sig) == 1
         assert logged() == [f"line 1: {LOOP_READ}"]
+
+    @pytest.mark.parametrize("source, line", [
+        ('int main(){int x,s=0;\nwhile (scanf("%d", &x) == 1)\n  s += x;\nreturn s;}', 2),
+        ('int main(){int i,a[3];\nfor (i = 0; i < 3; i++) scanf("%d", &a[i]);\nreturn 0;}', 2),
+        ('int main(){int i,x;\nfor (i = 0; i < 3; i++)\n  scanf("%d", &x);\nreturn 0;}', 3),
+        ('int main(){int x,n=0;\ndo {\n  n++;\n} while (scanf("%d", &x) == 1);\n'
+         'return n;}', 4),
+    ])
+    def test_header_and_unbraced_body_reads_are_loop_reads(self, logged, source, line):
+        assert kinds_of(source, Language.C) == [INT]
+        assert logged() == [f"line {line}: {LOOP_READ}"]
+
+    @pytest.mark.parametrize("source", [
+        'int main(){int i,s=0,x;\nfor (i = 0; i < 3; i++)\n  s += i;\nscanf("%d", &x);\n}',
+        'int main(){int i=3,x;\nwhile (i--)\n  ;\nscanf("%d", &x);\n}',
+        'int main(){int i=3,x;\ndo {\n  i--;\n} while (i);\nscanf("%d", &x);\n}',
+    ])
+    def test_read_after_a_loop_does_not_warn(self, logged, source):
+        assert kinds_of(source, Language.C) == [INT]
+        assert logged() == []
 
     def test_findings_of_one_read_are_logged_in_order(self, logged):
         source = ('int main(void){\n  int x;\n  while (1) {\n'

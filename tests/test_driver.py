@@ -122,6 +122,20 @@ class TestTermination:
         assert result.termination is Termination.THRESHOLD_MET
         assert [r.novel_tests for r in result.iterations] == [5, 1]
 
+    def test_timeouts_and_failed_tests_are_logged(self, tmp_path, caplog):
+        source = tmp_path / "slow.py"
+        source.write_text("import sys, time\nif input() == 'hang':\n    time.sleep(30)\n"
+                          "sys.exit(3)\n")
+        backend = ScriptedBackend(['{"test_cases": [["hang"], ["fail"]]}'])
+        config = make_config(tmp_path, k_max=1, per_test_timeout=0.5)
+        with caplog.at_level("INFO", logger="covloop.driver"):
+            run_loop(config, source, backend=backend)
+        messages = [r.getMessage() for r in caplog.records if r.name == "covloop.driver"]
+        assert [m for m in messages if m.startswith("iteration 0: test ")] == [
+            "iteration 0: test timed out after 0.5s",
+            "iteration 0: test exited with 3",
+        ]
+
     def test_trivial_target_exits_first_iteration(self, tmp_path, echo_c):
         result = run_loop(make_config(tmp_path), echo_c)
         assert result.termination is Termination.THRESHOLD_MET
@@ -201,10 +215,11 @@ class TestLoopAccounting:
         result = run_loop(
             make_config(tmp_path, branch_feedback_enabled=False), nested_guards_c
         )
-        lines = [r.line_coverage for r in result.iterations]
-        branches = [r.branch_coverage for r in result.iterations]
+        lines = [r.report.line_coverage for r in result.iterations]
+        branches = [r.report.branch_coverage for r in result.iterations]
         assert lines == sorted(lines)
         assert branches == sorted(branches)
+        assert result.iterations[-1].report is result.final_report
 
     def test_feedback_toggles_change_outcome(self, tmp_path, nested_guards_c):
         dual = run_loop(

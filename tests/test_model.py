@@ -12,28 +12,40 @@ from covloop.model import (
     RunConfig,
     TestCase,
     format_pct,
-    total_coverage,
 )
 
-pct = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+
+def report(lines_run: int, lines: int, arms_taken: int, arms: int) -> CoverageReport:
+    """A report with `lines_run` of `lines` lines run and `arms_taken` of
+    `arms` branch arms taken."""
+    return CoverageReport(
+        executed_lines=frozenset(range(1, lines_run + 1)),
+        missing_lines=frozenset(range(lines_run + 1, lines + 1)),
+        total_branches=arms,
+        missing_branches=tuple(BranchGap(line=1, branch_id=i)
+                               for i in range(arms - arms_taken)),
+    )
 
 
 class TestTotalCoverage:
+    """The loop-exit metric is the mean of a report's two percentages."""
+
     def test_benchmark_row_values(self):
         # 60.00 line / 37.50 branch is a published-style row; mean is 48.75.
-        assert total_coverage(60.00, 37.50) == 48.75
+        assert report(3, 5, 3, 8).total_coverage == 48.75
 
     def test_zero(self):
-        assert total_coverage(0, 0) == 0
+        assert report(0, 4, 0, 2).total_coverage == 0
 
     def test_full(self):
-        assert total_coverage(100, 100) == 100
+        assert report(4, 4, 2, 2).total_coverage == 100
 
-    @given(pct, pct)
-    def test_symmetric_and_bounded(self, a, b):
-        result = total_coverage(a, b)
-        assert result == total_coverage(b, a)
-        assert min(a, b) <= result <= max(a, b)
+    @given(st.integers(1, 500), st.data())
+    def test_symmetric_and_bounded(self, n, data):
+        a, b = (data.draw(st.integers(0, n)) for _ in range(2))
+        result = report(a, n, b, n).total_coverage
+        assert result == report(b, n, a, n).total_coverage
+        assert min(a, b) * 100 / n <= result <= max(a, b) * 100 / n
         assert 0.0 <= result <= 100.0
 
 
@@ -101,9 +113,8 @@ class TestRunConfig:
 
 
 def test_iteration_record_derives_its_total_coverage():
-    record = IterationRecord(novel_tests=3, line_coverage=80.0, branch_coverage=50.0,
-                             duration=0.1)
-    assert record.total_coverage == 65.0
+    record = IterationRecord(novel_tests=3, report=report(4, 5, 1, 2), duration=0.1)
+    assert record.report.total_coverage == 65.0
 
 
 def test_format_pct_renders_two_decimals():

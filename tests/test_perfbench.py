@@ -14,6 +14,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Per-pass counts of c-deep at seed 1. The stub backend makes them exact, so
+# any change in them is a change in what the loop does.
+C_DEEP_SEED_1 = {
+    "harness.run_test.calls": 625,
+    "agents.complete.test_cases.calls": 12,
+    "agents.complete.refinement.calls": 24,
+    "cache.proposed": 673,
+    "cache.duplicates": 48,
+    "cache.novel": 625,
+    "prompts.chars": 4381,
+    "driver.iterations": 12,
+}
+
 
 def test_traced_benchmark_is_correct(tmp_path):
     proc = subprocess.run(
@@ -23,4 +36,5 @@ def test_traced_benchmark_is_correct(tmp_path):
     assert proc.returncode == 0, proc.stderr
     final = json.loads(proc.stdout.splitlines()[-1])
     assert final["correct"] is True, proc.stdout
-    assert final["metrics"]["harness.run_test.calls"]["value"] > 0
+    counts = {name: final["metrics"][name]["value"] for name in C_DEEP_SEED_1}
+    assert counts == C_DEEP_SEED_1
