@@ -9,11 +9,13 @@ thread, and stays there however the process ends. `pytrace` maps the bytes
 back to lines and arms through the same `instrument`. This file imports only
 what probing and serving need.
 
-Started by covloop with COVLOOP_FORKSRV=<control fd>,<status fd> in its
+Started by covloop with SERVER_ENV=<control fd>,<status fd> in its
 environment, it is instead the target's test server (the protocol is
 described in testserver.py): the interpreter starts, and the script is
 parsed, probed, compiled and its hits file mapped, once; each test is a
-forked child that runs the compiled script as above.
+forked child that runs the compiled script as above. This file runs alone,
+so it holds the protocol's Python spelling: SERVER_ENV, and the REQUEST and
+REPLY structs; testserver.py imports them, and `_forksrv.c` spells them in C.
 """
 
 import ast
@@ -25,10 +27,11 @@ import select
 import signal
 import struct
 import sys
-import threading
 import warnings
 
-SERVER_ENV = "COVLOOP_FORKSRV"  # testserver.SERVER_ENV; this file runs alone, as a copy
+SERVER_ENV = "COVLOOP_FORKSRV"
+REQUEST = struct.Struct("@ll")  # a test's timeout: a C struct timespec
+REPLY = struct.Struct("@ii")  # a test's wait status, and 1 if it timed out
 HITS = "covloop hits"  # the probes' global name, which no source can spell
 
 
@@ -97,10 +100,6 @@ def instrument(tree: ast.Module) -> list[tuple[int, int | None]]:
     return table
 
 
-# catch_warnings swaps the process's filter list; covloop probes from threads.
-_COMPILING = threading.Lock()
-
-
 def _constant_truth(stmt: ast.If | ast.While) -> bool | None:
     """The truth of a test the compiler folds to a constant, or None. The
     test is compiled alone, in a statement of its kind with a marker store on
@@ -108,11 +107,12 @@ def _constant_truth(stmt: ast.If | ast.While) -> bool | None:
     dropped. `__debug__` folds by the -O level, so covloop starts a test
     server at its own. A test that cannot compile alone (`await`) keeps arms.
     Its compiler warnings (`x is 1`) are ignored here, whatever -W says, so
-    that they neither reach stderr twice nor turn into a SyntaxError."""
+    that they neither reach stderr twice nor turn into a SyntaxError; the
+    filters are process-wide, so threads take turns (`pytrace.probe_table`)."""
     marks = [f"{HITS} {arm}" for arm in (0, 1)]
     sides = ([ast.Assign([ast.Name(mark, ast.Store())], ast.Constant(0))] for mark in marks)
     skeleton = ast.fix_missing_locations(ast.Module([type(stmt)(stmt.test, *sides)], []))
-    with _COMPILING, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             code = compile(skeleton, "<test>", "exec", dont_inherit=True)
@@ -198,16 +198,16 @@ def serve(control: int, status: int, hits_path: str, script_path: str,
             os.close(go_r)
             _exit_test(run(code, hits, script_path, argv))
         os.close(go_r)
-        request = os.read(control, struct.calcsize("@ll"))
+        request = os.read(control, REQUEST.size)
         if not request:
             os.close(go_w)  # the idle child reads end of file
             os.waitpid(pid, 0)
             os._exit(0)
-        seconds, nanoseconds = struct.unpack("@ll", request)
+        seconds, nanoseconds = REQUEST.unpack(request)
         os.write(go_w, b"g")
         os.close(go_w)
         wait_status, timed_out = _finish(pid, seconds + nanoseconds / 1e9)
-        os.write(status, struct.pack("@ii", wait_status, timed_out))
+        os.write(status, REPLY.pack(wait_status, timed_out))
 
 
 def _exit_test(code: int) -> None:

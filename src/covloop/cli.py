@@ -94,12 +94,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cli_run(args, config: RunConfig) -> int:
-    try:
-        result = run_loop(config, args.source)
-    except (CovloopError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    result = run_loop(config, args.source)
     report = result.final_report
     print(f"target:          {args.source}")
     print(f"line coverage:   {format_pct(report.line_coverage)}%")
@@ -139,20 +134,13 @@ def _bench_targets(directory: Path, default_bound: str | None):
 def bench_run(args, config: RunConfig) -> int:
     if args.jobs < 1:
         args.parser.error(f"argument --jobs: must be >= 1: {args.jobs}")
-    directory: Path = args.directory
-    if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        # Refuse a backend that cannot start once, before --out is made; each
-        # target still builds its own, so each stub run starts afresh.
-        make_backend(config)
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    # Refuse a backend that cannot start, or a directory that cannot be
+    # listed, before --out is made; each target still builds its own
+    # backend, so each stub run starts afresh.
+    make_backend(config)
+    targets = _bench_targets(args.directory, args.bound)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    targets = _bench_targets(directory, args.bound)
 
     def one(entry) -> tuple[str, str, RunResult | str]:
         program, path, label = entry
@@ -172,28 +160,25 @@ def bench_run(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-_REPORT_COLUMNS = ["program", "bound", "branch_coverage", "line_coverage",
-                   "execution_time_sec"]
-
-
 def _write_reports(out: Path, rows) -> None:
-    csv_path = out / "report.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_COLUMNS)
-        for program, bound, result in rows:
-            writer.writerow(_report_row(program, bound, result))
+    table = [["program", "bound", "branch_coverage", "line_coverage", "execution_time_sec"]]
+    for program, bound, result in rows:
+        if isinstance(result, str):
+            table.append([program, bound, "ERROR", "ERROR", "ERROR"])
+        else:
+            report = result.final_report
+            table.append([program, bound, format_pct(report.branch_coverage),
+                          format_pct(report.line_coverage), f"{result.total_duration:.2f}"])
 
-    md_path = out / "report.md"
-    with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("| " + " | ".join(_REPORT_COLUMNS) + " |\n")
-        fh.write("|" + "---|" * len(_REPORT_COLUMNS) + "\n")
-        for program, bound, result in rows:
-            cells = [str(c) for c in _report_row(program, bound, result)]
-            fh.write("| " + " | ".join(cells) + " |\n")
+    with open(out / "report.csv", "w", encoding="utf-8", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
-    curves_path = out / "curves.csv"
-    with open(curves_path, "w", encoding="utf-8", newline="\n") as fh:
+    lines = ["| " + " | ".join(cells) + " |\n" for cells in table]
+    lines.insert(1, "|" + "---|" * len(table[0]) + "\n")
+    with open(out / "report.md", "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+    with open(out / "curves.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["program", "k", "line", "branch"])
         for program, _, result in rows:
@@ -207,19 +192,6 @@ def _write_reports(out: Path, rows) -> None:
                 ])
 
 
-def _report_row(program: str, bound: str, result: RunResult | str) -> list:
-    if isinstance(result, str):
-        return [program, bound, "ERROR", "ERROR", "ERROR"]
-    report = result.final_report
-    return [
-        program,
-        bound,
-        format_pct(report.branch_coverage),
-        format_pct(report.line_coverage),
-        f"{result.total_duration:.2f}",
-    ]
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from_args(args)
@@ -227,9 +199,13 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.command == "run":
-        return cli_run(args, config)
-    return bench_run(args, config)
+    try:
+        if args.command == "run":
+            return cli_run(args, config)
+        return bench_run(args, config)
+    except (CovloopError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -253,9 +253,5 @@ def result_dict(result: RunResult) -> dict:
     }
 
 
-def _percentages(report: CoverageReport) -> dict:
-    return {
-        "line_coverage": float(format_pct(report.line_coverage)),
-        "branch_coverage": float(format_pct(report.branch_coverage)),
-        "total_coverage": float(format_pct(report.total_coverage)),
-    }
+def _percentages(report: CoverageReport) -> dict[str, float]:
+    return {name: float(text) for name, text in evaluator.percentages(report).items()}

@@ -50,9 +50,18 @@ def parse_gcov(entry: dict) -> CoverageReport:
 parse_dynamic_coverage = parse_gcov
 
 
-def artifact_dict(report: CoverageReport) -> dict:
-    """The coverage artifact as a plain dict (percentages still floats)."""
+def percentages(report: CoverageReport) -> dict[str, str]:
+    """A report's three percentages by name, each rendered to two decimals."""
     return {
+        "line_coverage": format_pct(report.line_coverage),
+        "branch_coverage": format_pct(report.branch_coverage),
+        "total_coverage": format_pct(report.total_coverage),
+    }
+
+
+def render_artifact(report: CoverageReport) -> str:
+    """Artifact JSON text: the report's raw fields, then its percentages."""
+    raw = {
         "executed_lines": sorted(report.executed_lines),
         "missing_lines": sorted(report.missing_lines),
         "missing_branches": [
@@ -61,22 +70,10 @@ def artifact_dict(report: CoverageReport) -> dict:
         ],
         "total_branches": report.total_branches,
         "taken_branches": report.taken_branches,
-        "line_coverage": report.line_coverage,
-        "branch_coverage": report.branch_coverage,
-        "total_coverage": report.total_coverage,
     }
-
-
-def render_artifact(report: CoverageReport) -> str:
-    """Artifact JSON text with percentage fields rendered to two decimals."""
-    data = artifact_dict(report)
-    parts = []
-    for key, value in data.items():
-        if key.endswith("_coverage"):
-            rendered = format_pct(value)
-        else:
-            rendered = json.dumps(value, separators=(", ", ": "))
-        parts.append(f'  "{key}": {rendered}')
+    parts = [f'  "{key}": {json.dumps(value, separators=(", ", ": "))}'
+             for key, value in raw.items()]
+    parts += [f'  "{key}": {text}' for key, text in percentages(report).items()]
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 

@@ -17,11 +17,16 @@ arm 1 taking the else side, which for a loop is the exit without `break`.
 from __future__ import annotations
 
 import ast
+import threading
 from functools import lru_cache
 from pathlib import Path
 
 from ._covtrace import instrument
 from .errors import ParseError
+
+# `instrument` swaps the process's warning filters (`warnings.catch_warnings`),
+# and `covloop bench --jobs N` probes sources from N threads.
+_INSTRUMENTING = threading.Lock()
 
 
 def build_export(source: str, store: Path) -> dict:
@@ -46,7 +51,9 @@ def build_export(source: str, store: Path) -> dict:
 def probe_table(source: str) -> tuple[tuple[int, int | None], ...]:
     """`instrument`'s probe table of `source`, built once per source: a run
     rebuilds its target's export after each iteration that adds tests."""
-    return tuple(instrument(ast.parse(source)))
+    tree = ast.parse(source)
+    with _INSTRUMENTING:
+        return tuple(instrument(tree))
 
 
 def load_store(path: Path, probes: int) -> bytes:

@@ -23,21 +23,22 @@ serves until its control pipe closes:
   pipe, so the child ends with `_exit` before running any of the target (a C
   child writes no `.gcda`), reaps it, and exits.
 
-The servers need Linux 5.3 or later (pidfd_open).
+The servers need Linux 5.3 or later (pidfd_open). The prober runs alone, so
+it holds the protocol's Python spelling (SERVER_ENV, REQUEST, REPLY), which
+this module imports; `_forksrv.c` spells the same in C.
 """
 
 from __future__ import annotations
 
 import os
 import select
-import struct
 import subprocess
 import tempfile
 from pathlib import Path
 
+from ._covtrace import REPLY, REQUEST, SERVER_ENV
 from .errors import SpawnError
 
-SERVER_ENV = "COVLOOP_FORKSRV"  # read by the C shim and the Python prober
 SERVER_GRACE = 5.0  # seconds a test server may take beyond a test's timeout
 
 
@@ -75,15 +76,15 @@ class TestServer:
         os.lseek(self._stdin, 0, os.SEEK_SET)
         seconds, fraction = divmod(timeout, 1)
         try:
-            os.write(self._control, struct.pack("@ll", int(seconds), int(fraction * 1e9)))
+            os.write(self._control, REQUEST.pack(int(seconds), int(fraction * 1e9)))
         except OSError:
             raise self._failure("exited") from None
         if not self._replies.poll((timeout + SERVER_GRACE) * 1000):
             raise self._failure(f"gave no reply {SERVER_GRACE}s after the timeout")
-        reply = os.read(self._status, struct.calcsize("@ii"))
+        reply = os.read(self._status, REPLY.size)
         if not reply:
             raise self._failure("exited")
-        wait_status, timed_out = struct.unpack("@ii", reply)
+        wait_status, timed_out = REPLY.unpack(reply)
         return None if timed_out else os.waitstatus_to_exitcode(wait_status)
 
     def _failure(self, what: str) -> SpawnError:

@@ -22,7 +22,14 @@ from covloop.agents import (
     line_feedback,
     parse_and_filter,
 )
-from covloop.backends import _BATCH_SIZE, CompletionBackend, HttpBackend, SchemaId, StubBackend
+from covloop.backends import (
+    _BATCH_SIZE,
+    CompletionBackend,
+    HttpBackend,
+    SchemaId,
+    StubBackend,
+    _extract_completion_text,
+)
 from covloop.cache import TestSuiteCache
 from covloop.errors import ContractViolation, MalformedResponse, TransportError
 from covloop.model import (
@@ -54,6 +61,10 @@ class TestExtractJsonObject:
         text = 'noise {"a": "b}{", "c": 2} trailing'
         assert extract_json_object(text) == {"a": "b}{", "c": 2}
 
+    def test_brace_that_starts_no_json_is_skipped(self):
+        text = 'for {x in xs} here: {"test_cases": [["1"]]}'
+        assert extract_json_object(text) == {"test_cases": [["1"]]}
+
     def test_no_object_raises(self):
         with pytest.raises(ValueError):
             extract_json_object("no json here")
@@ -71,6 +82,11 @@ class TestComplete:
         with pytest.raises(MalformedResponse, match="after 3 attempts"):
             complete(backend, "p", SchemaId.TEST_CASES)
         assert backend.calls == 3
+
+    def test_numbers_become_strings_and_whole_floats_integers(self):
+        backend = ScriptedBackend(['{"test_cases": [[3.0], [2.5], [4]]}'])
+        response = complete(backend, "p", SchemaId.TEST_CASES)
+        assert response.parsed == {"test_cases": [["3"], ["2.5"], ["4"]]}
 
     def test_recovers_on_second_attempt(self):
         backend = ScriptedBackend(["garbage", '{"test_cases": [["1"]]}'])
@@ -495,6 +511,13 @@ class TestHttpBackend:
         _Endpoint.script = [(200, {}, body)]
         response = complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
         assert response.parsed == {"test_cases": [["7"]]}
+
+    @pytest.mark.parametrize("candidates", [
+        [{}], [{"content": {"parts": []}}], ["text"],
+    ], ids=["no-content", "no-parts", "not-an-object"])
+    def test_malformed_candidates_give_the_body(self, candidates):
+        body = json.dumps({"candidates": candidates})
+        assert _extract_completion_text(body) == body
 
     def test_rate_limit_retried(self, endpoint):
         _Endpoint.script = [

@@ -10,9 +10,11 @@ import pytest
 
 import covloop
 from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_interpreter
+from covloop import driver
 from covloop.analyzer import LOOP_READ
 from covloop.backends import API_KEY_ENV, HttpBackend, StubBackend, make_backend
 from covloop.cli import _config_from_args, build_parser, main
+from covloop.errors import MalformedResponse
 from covloop.model import RunConfig
 
 
@@ -85,6 +87,17 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", str(target), "--out", str(out)]) == 2
         assert json.loads((out / "result.json").read_text())["termination"] == "stagnated"
+
+    def test_backend_failure_exits_one(self, tmp_path, guard_c, monkeypatch, capsys):
+        class FailsAtOnce(StubBackend):
+            def raw_complete(self, prompt, schema_id):
+                raise MalformedResponse("model went away")
+
+        monkeypatch.setattr(driver, "make_backend", lambda config: FailsAtOnce())
+        out = tmp_path / "out"
+        assert main(["run", str(guard_c), "--out", str(out)]) == 1
+        assert "termination:     backend_failure" in capsys.readouterr().out
+        assert json.loads((out / "result.json").read_text())["termination"] == "backend_failure"
 
     def test_default_relative_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -232,6 +245,12 @@ def bench_dir(tmp_path):
     return directory
 
 
+def assert_one_error_line(err, path):
+    """`err` is the single `error:` line that `main` prints, naming `path`."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert path in err
+
+
 class TestBenchCommand:
     @OUT_OF_RANGE
     def test_out_of_range_flag_exits_64_before_out_is_made(
@@ -264,6 +283,26 @@ class TestBenchCommand:
             f"error: an endpoint needs a credential in ${API_KEY_ENV}\n")
         assert not out.exists()
 
+    def test_out_naming_a_file_exits_one(self, tmp_path, bench_dir, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["bench", str(bench_dir), "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, str(out))
+        assert out.read_text() == ""
+
+    def test_missing_directory_exits_one_before_out_is_made(self, tmp_path, capsys):
+        out = tmp_path / "bench_out"
+        assert main(["bench", str(tmp_path / "nope"), "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, str(tmp_path / "nope"))
+        assert not out.exists()
+
+    def test_file_as_directory_exits_one(self, tmp_path, bench_dir, capsys):
+        source = bench_dir / "guard.c"
+        out = tmp_path / "bench_out"
+        assert main(["bench", str(source), "--out", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, str(source))
+        assert not out.exists()
+
     def test_each_stub_target_starts_afresh(self, tmp_path):
         # Two copies of one program get the same cases, in the same order, as
         # a run of it alone: no stub state carries over between targets.
@@ -292,7 +331,10 @@ class TestBenchCommand:
         assert len(lines) == 3
         assert lines[1].startswith("echo,-,")
         assert lines[2].startswith("guard,-,")
-        assert (out / "report.md").read_text().count("|") > 0
+        table = [line.split(",") for line in lines]
+        assert (out / "report.md").read_text().splitlines() == [
+            "| " + " | ".join(table[0]) + " |", "|---|---|---|---|---|",
+            *("| " + " | ".join(row) + " |" for row in table[1:])]
         curves = (out / "curves.csv").read_text().splitlines()
         assert curves[0] == "program,k,line,branch"
         assert len(curves) > 2

@@ -29,7 +29,7 @@ from covloop.errors import (
     UnsupportedLanguage,
 )
 from covloop.evaluator import parse_gcov
-from covloop.model import BranchGap, TestCase
+from covloop.model import BranchGap, Language, TestCase
 
 
 @pytest.fixture(autouse=True)
@@ -194,6 +194,11 @@ class TestPrepareTarget:
         with pytest.raises(MissingToolchain, match="--json-format"):
             prepare_c(tmp_path)
         assert not (tmp_path / "work").exists()
+
+    def test_no_gcc_on_path_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        with pytest.raises(MissingToolchain, match="required tool not on PATH: gcc"):
+            harness.check_toolchain(Language.C)
 
     def test_shim_is_compiled_once_across_threads(self, monkeypatch):
         compiles = []
@@ -450,6 +455,42 @@ class TestTestServer:
         assert len(calls) == 2
         assert len(os.listdir("/proc/self/fd")) == before
 
+    def test_a_command_that_cannot_start_closes_every_descriptor(self, tmp_path):
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(SpawnError, match="cannot launch .*missing"):
+            testserver.TestServer((str(tmp_path / "missing"),), tmp_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_server_that_has_exited_fails_the_request(self, tmp_path):
+        server = testserver.TestServer(("true",), tmp_path)
+        try:
+            server._proc.wait()
+            with pytest.raises(SpawnError, match="test server for true exited"):
+                server.run(b"1\n", 1.0)
+        finally:
+            server.close()
+
+    def test_a_server_that_never_replies_is_killed(self, tmp_path, monkeypatch):
+        # `sleep` holds the pipes it was given and answers nothing.
+        monkeypatch.setattr(testserver, "SERVER_GRACE", 0.1)
+        server = testserver.TestServer(("sleep", "60"), tmp_path)
+        try:
+            with pytest.raises(SpawnError, match="for 60 gave no reply 0.1s after the timeout"):
+                server.run(b"1\n", 0.1)
+        finally:
+            server.close()
+        assert server._proc.returncode == -9
+
+    def test_stdin_without_memfd_is_an_unlinked_file(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(testserver.os, "memfd_create")
+        fd = testserver._scratch_fd("stdin")
+        try:
+            assert os.fstat(fd).st_nlink == 0
+        finally:
+            os.close(fd)
+        target = prepare_py(tmp_path, "import sys\nsys.exit(len(sys.stdin.read()))\n")
+        assert harness.run_test(target, TestCase(("abc",)), timeout=10.0).exit_status == 4
+
     def test_timeout_kills_the_whole_test(self, tmp_path):
         target = prepare_c(tmp_path, FORK_A_SLEEPER_C, "forks.c")
         outcome = harness.run_test(target, TestCase(("1",)), timeout=1.0)
@@ -671,6 +712,16 @@ class TestCollectRawCoverage:
         source = '#line 1 "elsewhere.c"\nint main(void) { return 0; }\n'
         target = prepare_c(tmp_path, source)
         with pytest.raises(ToolInvocationError):
+            harness.collect_raw_coverage(target)
+
+    def test_c_gcov_failure_raises_with_its_message(self, tmp_path, monkeypatch):
+        target = prepare_c(tmp_path)
+        fake = tmp_path / "bin" / "gcov"
+        fake.parent.mkdir()
+        fake.write_text("#!/bin/sh\necho 'cannot open notes file' >&2\nexit 3\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
+        with pytest.raises(ToolInvocationError, match="gcov exited with 3: cannot open notes"):
             harness.collect_raw_coverage(target)
 
     def test_python_before_any_run_reports_zero_counters(self, tmp_path):

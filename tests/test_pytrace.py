@@ -238,13 +238,17 @@ class TestTracerShim:
         assert report_of(source, hits).line_coverage == 100.0
 
     def test_imports_only_what_tracing_needs(self, tmp_path):
-        source = (
+        # Under -S, no site hook imports a module on the prober's behalf.
+        script = tmp_path / "t.py"
+        script.write_text(
             "import sys\n"
-            "heavy = {'dataclasses', 'traceback', 'covloop'}\n"
+            "heavy = {'dataclasses', 'threading', 'traceback', 'covloop'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
         )
-        proc, _ = run_prober(tmp_path, source)
-        assert proc.stdout.strip() == b"[]"
+        proc = subprocess.run(
+            [sys.executable, "-S", _covtrace.__file__, str(tmp_path / "hits"), str(script)],
+            capture_output=True, timeout=30)
+        assert proc.stdout.strip() == b"[]", proc.stderr
 
 
 def served_report(tmp_path, source, *values, timeout=10.0):
