@@ -41,13 +41,9 @@ def extract_json_object(text: str) -> dict:
     start = text.find("{")
     while start >= 0:
         try:
-            value, _ = _DECODER.raw_decode(text, start)
+            return _DECODER.raw_decode(text, start)[0]
         except ValueError:
-            pass
-        else:
-            if isinstance(value, dict):
-                return value
-        start = text.find("{", start + 1)
+            start = text.find("{", start + 1)
     raise ValueError("no JSON object found in completion text")
 
 
@@ -100,30 +96,27 @@ def complete(
     rate-limit rejections and retryable transport failures are waited out and
     retried within the same budget.
     """
-    attempts = 0
     last_error = ""
     current_prompt = prompt
-    while attempts < MAX_ATTEMPTS:
-        attempts += 1
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             raw = backend.raw_complete(current_prompt, schema_id)
         except TransportError as exc:
-            if attempts >= MAX_ATTEMPTS or not exc.retryable:
+            if attempt == MAX_ATTEMPTS or not exc.retryable:
                 raise
-            delay = 1.0 if exc.retry_after is None else exc.retry_after
-            time.sleep(min(delay, _RETRY_SLEEP_CAP))
+            time.sleep(min(exc.retry_after, _RETRY_SLEEP_CAP))
             continue
         try:
             payload = _validate(schema_id, extract_json_object(raw))
-            return AgentResponse(parsed=payload, attempts=attempts)
+            return AgentResponse(parsed=payload, attempts=attempt)
         except ValueError as exc:
             last_error = str(exc)
-            log.debug("attempt %d returned malformed payload: %s", attempts, last_error)
+            log.debug("attempt %d returned malformed payload: %s", attempt, last_error)
             current_prompt = (
                 f"{prompt}\n\nYour previous reply was not valid: {last_error}. "
                 "Reply with ONLY the JSON object."
             )
-    raise MalformedResponse(f"no valid {schema_id.value} payload after {attempts} "
+    raise MalformedResponse(f"no valid {schema_id.value} payload after {MAX_ATTEMPTS} "
                             f"attempts: {last_error}")
 
 

@@ -18,12 +18,13 @@ import enum
 import functools
 import itertools
 import json
+import operator
 import os
 import re
 import threading
 import urllib.parse
 
-from .errors import ContractViolation, TransportError
+from .errors import RETRY_AFTER_DEFAULT, ContractViolation, TransportError
 from .model import InputKind, RunConfig
 from .prompts import ANALYST_PROMPT_RE, FOCUS_HEADER, GAP_LINE_RE, INPUT_KIND_RE
 
@@ -221,17 +222,11 @@ class HttpBackend(CompletionBackend):
                 body = response.read().decode("utf-8", "replace")
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"POST {self.endpoint} failed: {exc}", retryable=True) from exc
-        if status == 429:
-            retry_after = _parse_retry_after(headers.get("Retry-After"))
-            raise TransportError(
-                f"endpoint rate limited (429), retry after {retry_after}s",
-                retryable=True, retry_after=retry_after,
-            )
         if status >= 300:
             location = headers.get("Location")
             to = f" (redirect to {location} not followed)" if location else ""
             raise TransportError(f"endpoint returned HTTP {status}{to}: {body[:200]}",
-                                 retryable=status >= 500,
+                                 retryable=status == 429 or status >= 500,
                                  retry_after=_parse_retry_after(headers.get("Retry-After")))
         return _extract_completion_text(body)
 
@@ -253,7 +248,20 @@ def _parse_retry_after(header: str | None) -> float:
     try:
         return max(0.0, float(header))
     except (TypeError, ValueError):
-        return 1.0
+        return RETRY_AFTER_DEFAULT
+
+
+# Where a reply's text may sit, tried in order; the first string found is the
+# text, and a reply where none leads to a string is taken whole. The shapes:
+# a bare JSON string, {"text": ...}, an OpenAI-style chat or completion
+# choice, and a candidates/content/parts list.
+_REPLY_PATHS = (
+    (),
+    ("text",),
+    ("choices", 0, "message", "content"),
+    ("choices", 0, "text"),
+    ("candidates", 0, "content", "parts", 0, "text"),
+)
 
 
 def _extract_completion_text(body: str) -> str:
@@ -261,26 +269,13 @@ def _extract_completion_text(body: str) -> str:
         data = json.loads(body)
     except ValueError:
         return body
-    if isinstance(data, str):
-        return data
-    if isinstance(data, dict):
-        if isinstance(data.get("text"), str):
-            return data["text"]
-        choices = data.get("choices")
-        if isinstance(choices, list) and choices:
-            first = choices[0]
-            if isinstance(first, dict):
-                message = first.get("message")
-                if isinstance(message, dict) and isinstance(message.get("content"), str):
-                    return message["content"]
-                if isinstance(first.get("text"), str):
-                    return first["text"]
-        candidates = data.get("candidates")
-        if isinstance(candidates, list) and candidates:
-            try:
-                return candidates[0]["content"]["parts"][0]["text"]
-            except (KeyError, IndexError, TypeError):
-                pass
+    for path in _REPLY_PATHS:
+        try:
+            text = functools.reduce(operator.getitem, path, data)
+        except (KeyError, IndexError, TypeError):
+            continue
+        if isinstance(text, str):
+            return text
     return body
 
 

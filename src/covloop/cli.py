@@ -142,14 +142,14 @@ def bench_run(args, config: RunConfig) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(entry) -> tuple[str, str, RunResult | str]:
+    def one(entry) -> tuple[str, str, RunResult | None]:
         program, path, label = entry
         try:
             return program, label, run_loop(
                 replace(config, workdir=out / f"{program}__{label}"), path)
         except (CovloopError, OSError) as exc:
             log.error("target %s failed: %s", path, exc)
-            return program, label, f"ERROR: {exc}"
+            return program, label, None
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(one, targets))
@@ -163,7 +163,7 @@ def bench_run(args, config: RunConfig) -> int:
 def _write_reports(out: Path, rows) -> None:
     table = [["program", "bound", "branch_coverage", "line_coverage", "execution_time_sec"]]
     for program, bound, result in rows:
-        if isinstance(result, str):
+        if result is None:
             table.append([program, bound, "ERROR", "ERROR", "ERROR"])
         else:
             report = result.final_report
@@ -182,7 +182,7 @@ def _write_reports(out: Path, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["program", "k", "line", "branch"])
         for program, _, result in rows:
-            if isinstance(result, str):
+            if result is None:
                 continue
             for k, record in enumerate(result.iterations):
                 writer.writerow([

@@ -25,12 +25,17 @@ class MalformedResponse(BackendError):
     """Backend kept returning output that failed schema validation."""
 
 
+# Seconds before a retry when the error came with no readable Retry-After.
+RETRY_AFTER_DEFAULT = 1.0
+
+
 class TransportError(BackendError):
     """Network-level failure talking to an HTTP completion endpoint. A
-    retryable one, a dropped connection or a 5xx, may pass if sent again."""
+    retryable one, a failed connection, a 429 or a 5xx, may pass if sent
+    again after `retry_after` seconds."""
 
     def __init__(self, message: str, retryable: bool = False,
-                 retry_after: float | None = None):
+                 retry_after: float = RETRY_AFTER_DEFAULT):
         super().__init__(message)
         self.retryable = retryable
         self.retry_after = retry_after

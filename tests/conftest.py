@@ -1,4 +1,5 @@
-"""Shared fixture programs and scripted backends for the test suite."""
+"""Shared fixture programs, scripted backends and a scripted endpoint for the
+test suite."""
 
 from __future__ import annotations
 
@@ -6,9 +7,12 @@ import glob
 import json
 import os
 import subprocess
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from covloop import agents
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.model import RunConfig
 
@@ -373,3 +377,62 @@ class SequentialCasesBackend(CompletionBackend):
         repeats = int(len(cases) * self.duplicate_fraction)
         cases.extend([[str(i)] for i in range(repeats)])
         return json.dumps({"test_cases": cases})
+
+
+class ScriptedEndpoint(BaseHTTPRequestHandler):
+    """A completion endpoint that replays `script`, then repeats its last
+    entry, and records each request it was sent in `seen`."""
+
+    # (status, headers, body) tuples consumed in order; a None status sends
+    # the body as the whole raw reply.
+    script = []
+    seen = []
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length)) if length else {}
+        type(self).seen.append(
+            {
+                "auth": self.headers.get("Authorization"),
+                "content_type": self.headers.get("Content-Type"),
+                "body": body,
+            }
+        )
+        status, headers, payload = self.script[min(len(self.seen) - 1,
+                                                   len(self.script) - 1)]
+        if status is None:
+            self.wfile.write(payload.encode())
+            return
+        self.send_response(status)
+        for key, value in headers.items():
+            self.send_header(key, value)
+        self.end_headers()
+        self.wfile.write(payload.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+def serve(handler):
+    handler.seen = []
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/v1/complete"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """The delays `complete` waits between attempts, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(agents.time, "sleep", delays.append)
+    return delays
+
+
+@pytest.fixture
+def endpoint(monkeypatch, slept):
+    monkeypatch.setenv("COVLOOP_API_KEY", "sekrit")
+    ScriptedEndpoint.script = []
+    yield from serve(ScriptedEndpoint)

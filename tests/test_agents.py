@@ -4,15 +4,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedBackend
-from covloop import agents
+from conftest import ScriptedBackend, ScriptedEndpoint, serve
 from covloop.agents import (
     AgentResponse,
     _validate,
@@ -394,38 +391,7 @@ class PromptRecorder(CompletionBackend):
         return json.dumps(REFINEMENT_OK)
 
 
-class _Endpoint(BaseHTTPRequestHandler):
-    # (status, headers, body) tuples consumed in order; a None status sends
-    # the body as the whole raw reply.
-    script = []
-    seen = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        type(self).seen.append(
-            {
-                "auth": self.headers.get("Authorization"),
-                "content_type": self.headers.get("Content-Type"),
-                "body": body,
-            }
-        )
-        status, headers, payload = self.script[min(len(self.seen) - 1,
-                                                   len(self.script) - 1)]
-        if status is None:
-            self.wfile.write(payload.encode())
-            return
-        self.send_response(status)
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(payload.encode())
-
-    def log_message(self, *args):
-        pass
-
-
-class _Elsewhere(_Endpoint):
+class _Elsewhere(ScriptedEndpoint):
     """A second host, the target of redirects; keeps its own script and log."""
 
     script = [(200, {}, json.dumps({"text": '{"test_cases": []}'}))]
@@ -435,37 +401,16 @@ class _Elsewhere(_Endpoint):
         self.do_POST()
 
 
-def _serve(handler):
-    handler.seen = []
-    server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/complete"
-    server.shutdown()
-    server.server_close()
-
-
-@pytest.fixture
-def slept(monkeypatch):
-    """The delays `complete` waits between attempts, recorded instead of slept."""
-    delays = []
-    monkeypatch.setattr(agents.time, "sleep", delays.append)
-    return delays
-
-
-@pytest.fixture
-def endpoint(monkeypatch, slept):
-    monkeypatch.setenv("COVLOOP_API_KEY", "sekrit")
-    _Endpoint.script = []
-    yield from _serve(_Endpoint)
-
-
 @pytest.fixture
 def elsewhere():
-    yield from _serve(_Elsewhere)
+    yield from serve(_Elsewhere)
 
 
 REPLY = '{"test_cases": [["7"]]}'
+
+# Values at a reply path that are not the reply's text.
+NON_STRING_TEXTS = [None, 5, {"test_cases": []}]
+NON_STRING_IDS = ["null-text", "number-text", "object-text"]
 
 
 class TestHttpBackend:
@@ -490,14 +435,14 @@ class TestHttpBackend:
             HttpBackend(url, "m")
 
     def test_posts_model_and_prompt(self, endpoint):
-        _Endpoint.script = [(200, {}, json.dumps({"text": '{"test_cases": []}'}))]
+        ScriptedEndpoint.script = [(200, {}, json.dumps({"text": '{"test_cases": []}'}))]
         backend = HttpBackend(endpoint, "my-model")
         response = complete(backend, "the prompt", SchemaId.TEST_CASES)
         assert response.parsed == {"test_cases": []}
-        assert _Endpoint.seen[0]["auth"] == "Bearer sekrit"
-        assert _Endpoint.seen[0]["content_type"] == "application/json"
-        assert _Endpoint.seen[0]["body"] == {"model": "my-model",
-                                             "prompt": "the prompt"}
+        assert ScriptedEndpoint.seen[0]["auth"] == "Bearer sekrit"
+        assert ScriptedEndpoint.seen[0]["content_type"] == "application/json"
+        assert ScriptedEndpoint.seen[0]["body"] == {"model": "my-model",
+                                                    "prompt": "the prompt"}
 
     @pytest.mark.parametrize("body", [
         json.dumps(REPLY),
@@ -506,21 +451,33 @@ class TestHttpBackend:
         json.dumps({"choices": [{"text": REPLY}]}),
         json.dumps({"candidates": [{"content": {"parts": [{"text": REPLY}]}}]}),
         "Here you go: " + REPLY,
-    ], ids=["string", "text", "chat", "completion", "candidates", "not-json"])
+        json.dumps({"text": 5, "choices": [{"text": REPLY}]}),
+    ], ids=["string", "text", "chat", "completion", "candidates", "not-json",
+            "non-string-skipped"])
     def test_reply_shapes_extracted(self, endpoint, body):
-        _Endpoint.script = [(200, {}, body)]
+        ScriptedEndpoint.script = [(200, {}, body)]
         response = complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
         assert response.parsed == {"test_cases": [["7"]]}
 
     @pytest.mark.parametrize("candidates", [
         [{}], [{"content": {"parts": []}}], ["text"],
-    ], ids=["no-content", "no-parts", "not-an-object"])
+        *([{"content": {"parts": [{"text": text}]}}] for text in NON_STRING_TEXTS),
+    ], ids=["no-content", "no-parts", "not-an-object", *NON_STRING_IDS])
     def test_malformed_candidates_give_the_body(self, candidates):
         body = json.dumps({"candidates": candidates})
         assert _extract_completion_text(body) == body
 
+    @pytest.mark.parametrize("text", NON_STRING_TEXTS, ids=NON_STRING_IDS)
+    def test_a_text_that_is_not_a_string_is_malformed(self, endpoint, slept, text):
+        reply = {"candidates": [{"content": {"parts": [{"text": text}]}}]}
+        ScriptedEndpoint.script = [(200, {}, json.dumps(reply))]
+        with pytest.raises(MalformedResponse, match="after 3 attempts"):
+            complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
+        assert len(ScriptedEndpoint.seen) == 3
+        assert slept == []
+
     def test_rate_limit_retried(self, endpoint):
-        _Endpoint.script = [
+        ScriptedEndpoint.script = [
             (429, {"Retry-After": "0"}, "slow down"),
             (200, {}, json.dumps({"text": '{"test_cases": []}'})),
         ]
@@ -528,15 +485,16 @@ class TestHttpBackend:
         assert response.attempts == 2
         assert response.parsed == {"test_cases": []}
 
-    def test_server_error_is_transport_error(self, endpoint, slept):
-        _Endpoint.script = [(500, {}, "boom")]
-        with pytest.raises(TransportError, match="HTTP 500: boom"):
+    @pytest.mark.parametrize("status", [429, 500])
+    def test_retryable_status_is_transport_error(self, endpoint, slept, status):
+        ScriptedEndpoint.script = [(status, {}, "boom")]
+        with pytest.raises(TransportError, match=f"HTTP {status}: boom"):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
-        assert len(_Endpoint.seen) == 3  # retried within MAX_ATTEMPTS
-        assert slept == [1.0, 1.0]
+        assert len(ScriptedEndpoint.seen) == 3  # retried within MAX_ATTEMPTS
+        assert slept == [1.0, 1.0]  # no Retry-After: 1 s each
 
     def test_server_error_then_success_is_retried(self, endpoint, slept):
-        _Endpoint.script = [
+        ScriptedEndpoint.script = [
             (503, {"Retry-After": "2"}, "busy"),
             (200, {}, json.dumps({"text": '{"test_cases": []}'})),
         ]
@@ -546,7 +504,7 @@ class TestHttpBackend:
         assert slept == [2.0]
 
     def test_retry_waits_at_most_the_cap(self, endpoint, slept):
-        _Endpoint.script = [
+        ScriptedEndpoint.script = [
             (502, {"Retry-After": "3600"}, "bad gateway"),
             (200, {}, json.dumps({"text": '{"test_cases": []}'})),
         ]
@@ -555,10 +513,10 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("status", [400, 401, 404])
     def test_client_error_is_sent_once(self, endpoint, slept, status):
-        _Endpoint.script = [(status, {}, "no")]
+        ScriptedEndpoint.script = [(status, {}, "no")]
         with pytest.raises(TransportError, match=f"HTTP {status}: no"):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
-        assert len(_Endpoint.seen) == 1
+        assert len(ScriptedEndpoint.seen) == 1
         assert slept == []
 
     def test_a_transport_error_that_is_not_retryable_is_final(self):
@@ -576,10 +534,10 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_is_not_followed(self, endpoint, elsewhere, status):
-        _Endpoint.script = [(status, {"Location": elsewhere}, "moved")]
+        ScriptedEndpoint.script = [(status, {"Location": elsewhere}, "moved")]
         with pytest.raises(TransportError, match=f"HTTP {status} .*{elsewhere}"):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
-        assert len(_Endpoint.seen) == 1
+        assert len(ScriptedEndpoint.seen) == 1
         assert _Elsewhere.seen == []
 
     @pytest.mark.parametrize("script", [
@@ -587,10 +545,10 @@ class TestHttpBackend:
         (200, {"Content-Length": "100"}, "short"),
     ], ids=["bad-status-line", "truncated-body"])
     def test_broken_reply_is_transport_error(self, endpoint, slept, script):
-        _Endpoint.script = [script]
+        ScriptedEndpoint.script = [script]
         with pytest.raises(TransportError):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
-        assert len(_Endpoint.seen) == 3  # a broken connection is retried
+        assert len(ScriptedEndpoint.seen) == 3  # a broken connection is retried
         assert slept == [1.0, 1.0]
 
     def test_unreachable_endpoint_is_transport_error(self, monkeypatch, slept):

@@ -9,13 +9,16 @@ from pathlib import Path
 import pytest
 
 import covloop
-from conftest import ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, require_interpreter
+from conftest import (
+    ECHO_C, GUARD_C, GUARD_PY, UNREACHABLE_ARM_C, ScriptedEndpoint, require_interpreter,
+)
 from covloop import driver
 from covloop.analyzer import LOOP_READ
 from covloop.backends import API_KEY_ENV, HttpBackend, StubBackend, make_backend
 from covloop.cli import _config_from_args, build_parser, main
 from covloop.errors import MalformedResponse
 from covloop.model import RunConfig
+from covloop.prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR
 
 
 TIMEOUT_LIMIT = "argument --timeout: per_test_timeout must be at most 86400 seconds: "
@@ -58,6 +61,18 @@ int main(void) {
 }
 """
 
+# An endpoint reply whose one known path holds no string, so no attempt of
+# any completion gives a valid payload.
+TEXTLESS_REPLY = (200, {}, json.dumps({"candidates": [{"content": {"parts": [{"text": None}]}}]}))
+
+
+def chat_reply(cases):
+    """A chat-style endpoint reply that passes both schemas: a request does
+    not say which one it asks for, and each ignores the other's keys."""
+    content = {"test_cases": cases, "gap_explanation": "x == 42 never holds",
+               "prompt_refinements": ["try integer input 42"]}
+    return (200, {}, json.dumps({"choices": [{"message": {"content": json.dumps(content)}}]}))
+
 
 class TestRunCommand:
     def test_threshold_met_exits_zero(self, tmp_path, guard_c, capsys):
@@ -98,6 +113,34 @@ class TestRunCommand:
         assert main(["run", str(guard_c), "--out", str(out)]) == 1
         assert "termination:     backend_failure" in capsys.readouterr().out
         assert json.loads((out / "result.json").read_text())["termination"] == "backend_failure"
+
+    def test_a_reply_without_text_ends_as_backend_failure(self, tmp_path, guard_c, endpoint,
+                                                          capsys):
+        ScriptedEndpoint.script = [TEXTLESS_REPLY]
+        out = tmp_path / "out"
+        assert main(["run", str(guard_c), "--endpoint", endpoint, "--out", str(out)]) == 1
+        assert "termination:     backend_failure" in capsys.readouterr().out
+        assert json.loads((out / "result.json").read_text())["termination"] == "backend_failure"
+        assert len(ScriptedEndpoint.seen) == 3
+
+    def test_the_loop_over_http_meets_the_threshold(self, tmp_path, guard_py, endpoint, capsys):
+        # The first batch misses x == 42, so both analysts post, at once on
+        # the run's pool, before the second batch hits it.
+        ScriptedEndpoint.script = [chat_reply([["1"]])] * 3 + [chat_reply([["42"]])]
+        out = tmp_path / "out"
+        assert main(["run", str(guard_py), "--endpoint", endpoint, "--model", "m",
+                     "--out", str(out)]) == 0
+        assert "termination:     threshold_met" in capsys.readouterr().out
+        prompts = [seen["body"]["prompt"] for seen in ScriptedEndpoint.seen]
+        assert len(prompts) == 4
+        assert prompts[0] == (out / "prompts" / "iter_0.txt").read_text()
+        assert prompts[3] == (out / "prompts" / "iter_1.txt").read_text()
+        for anchor in (MISSING_LINES_ANCHOR, MISSING_BRANCHES_ANCHOR):
+            assert sorted(anchor in prompt for prompt in prompts[1:3]) == [False, True]
+        assert "try integer input 42" in prompts[3]
+        result = json.loads((out / "result.json").read_text())
+        assert [r["novel_tests"] for r in result["iterations"]] == [1, 1]
+        assert result["final_coverage"]["total_coverage"] == 100.0
 
     def test_default_relative_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -357,6 +400,16 @@ class TestBenchCommand:
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
         assert any(row.startswith("broken,-,ERROR,ERROR") for row in rows)
+
+    def test_a_backend_failure_still_gets_its_row(self, tmp_path, bench_dir, endpoint):
+        ScriptedEndpoint.script = [TEXTLESS_REPLY]
+        out = tmp_path / "out"
+        assert main(["bench", str(bench_dir), "--endpoint", endpoint, "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["echo", "-", "100.00", "0.00"], ["guard", "-", "0.00", "0.00"],
+        ]  # echo has no branch, so none is missed
+        assert len(ScriptedEndpoint.seen) == 6
 
     def test_source_named_like_an_option_is_measured(self, tmp_path, bench_dir):
         (bench_dir / "echo.c").unlink()
