@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .backends import CompletionBackend, SchemaId
 from .cache import TestSuiteCache
-from .errors import ContractViolation, MalformedResponse, TransportError
+from .errors import BackendError, ContractViolation, TransportError
 from .model import BranchGap, FeedbackRefinement, TestCase
 from .prompts import branch_feedback_prompt, line_feedback_prompt
 
@@ -92,7 +92,7 @@ def complete(
 ) -> AgentResponse:
     """One schema-validated completion, retrying malformed replies.
 
-    Raises MalformedResponse once MAX_ATTEMPTS attempts all failed validation;
+    Raises BackendError once MAX_ATTEMPTS attempts all failed validation;
     rate-limit rejections and retryable transport failures are waited out and
     retried within the same budget.
     """
@@ -116,8 +116,8 @@ def complete(
                 f"{prompt}\n\nYour previous reply was not valid: {last_error}. "
                 "Reply with ONLY the JSON object."
             )
-    raise MalformedResponse(f"no valid {schema_id.value} payload after {MAX_ATTEMPTS} "
-                            f"attempts: {last_error}")
+    raise BackendError(f"no valid {schema_id.value} payload after {MAX_ATTEMPTS} "
+                       f"attempts: {last_error}")
 
 
 def parse_and_filter(

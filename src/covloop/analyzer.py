@@ -25,7 +25,7 @@ import logging
 import re
 from pathlib import Path
 
-from .errors import CompileError, UnsupportedLanguage
+from .errors import ContractViolation, CovloopError
 from .model import InputKind, InputSignature, Language
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ def detect_language(path: str | Path) -> Language:
     try:
         return EXTENSIONS[suffix]
     except KeyError:
-        raise UnsupportedLanguage(
+        raise ContractViolation(
             f"unsupported extension {suffix!r} for {path} (expected .c or .py)"
         ) from None
 
@@ -63,7 +63,7 @@ def _scan_python(source: str) -> InputSignature:
     try:
         tree = ast.parse(source, "<target>")
     except (SyntaxError, ValueError) as exc:
-        raise CompileError(f"target does not parse: {exc}") from None
+        raise CovloopError(f"target does not parse: {exc}") from None
     reads: list[tuple[int, int, InputKind, bool]] = []
     cast_args: dict[int, InputKind] = {}  # id of a cast's first argument -> cast
     reads_stdin = False

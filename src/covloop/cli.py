@@ -161,14 +161,16 @@ def bench_run(args, config: RunConfig) -> int:
 
 
 def _write_reports(out: Path, rows) -> None:
-    table = [["program", "bound", "branch_coverage", "line_coverage", "execution_time_sec"]]
+    table = [["program", "bound", "branch_coverage", "line_coverage", "execution_time_sec",
+              "termination"]]
     for program, bound, result in rows:
         if result is None:
-            table.append([program, bound, "ERROR", "ERROR", "ERROR"])
+            table.append([program, bound, "ERROR", "ERROR", "ERROR", "ERROR"])
         else:
             report = result.final_report
             table.append([program, bound, format_pct(report.branch_coverage),
-                          format_pct(report.line_coverage), f"{result.total_duration:.2f}"])
+                          format_pct(report.line_coverage), f"{result.total_duration:.2f}",
+                          result.termination.value])
 
     with open(out / "report.csv", "w", encoding="utf-8", newline="\n") as fh:
         csv.writer(fh, lineterminator="\n").writerows(table)

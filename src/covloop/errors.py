@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A class lives here only while some module catches it by name. Any other
+failure raises a plain CovloopError whose message says what failed.
+"""
 
 
 class CovloopError(Exception):
@@ -9,20 +13,9 @@ class ContractViolation(CovloopError):
     """An argument or state violated a documented precondition."""
 
 
-class UnsupportedLanguage(CovloopError):
-    """Target file extension maps to no supported language."""
-
-
-class ParseError(CovloopError):
-    """A coverage report or export did not match its expected format."""
-
-
 class BackendError(CovloopError):
-    """Base class for completion backend failures."""
-
-
-class MalformedResponse(BackendError):
-    """Backend kept returning output that failed schema validation."""
+    """A completion backend failed, or kept returning output that failed
+    schema validation."""
 
 
 # Seconds before a retry when the error came with no readable Retry-After.
@@ -41,17 +34,5 @@ class TransportError(BackendError):
         self.retry_after = retry_after
 
 
-class CompileError(CovloopError):
-    """Target compilation failed; message carries the diagnostics."""
-
-
-class MissingToolchain(CovloopError):
-    """A required external tool (compiler, gcov, interpreter) is absent."""
-
-
 class SpawnError(CovloopError):
     """The target process could not be started."""
-
-
-class ToolInvocationError(CovloopError):
-    """An external coverage tool exited abnormally; message carries stderr."""

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import CovloopError
 from .model import BranchGap, CoverageReport, format_pct
 
 
@@ -32,7 +32,7 @@ def parse_gcov(entry: dict) -> CoverageReport:
                 executed.add(lineno)
             arms.setdefault(lineno, []).extend(b["count"] > 0 for b in line["branches"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"gcov JSON entry does not match expected schema: {exc}") from exc
+        raise CovloopError(f"gcov JSON entry does not match expected schema: {exc}") from exc
     return CoverageReport(
         executed_lines=frozenset(executed),
         missing_lines=frozenset(listed - executed),

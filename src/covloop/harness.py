@@ -51,13 +51,7 @@ from pathlib import Path
 
 from . import pytrace
 from .analyzer import detect_language
-from .errors import (
-    CompileError,
-    ContractViolation,
-    MissingToolchain,
-    SpawnError,
-    ToolInvocationError,
-)
+from .errors import ContractViolation, CovloopError, SpawnError
 from .model import Language, TestCase
 from .testserver import TestServer
 
@@ -128,9 +122,9 @@ def check_toolchain(language: Language) -> None:
     if language is Language.C:
         for tool in ("gcc", "gcov"):
             if shutil.which(tool) is None:
-                raise MissingToolchain(f"required tool not on PATH: {tool}")
+                raise CovloopError(f"required tool not on PATH: {tool}")
         if _gcov_version() is None:
-            raise MissingToolchain(
+            raise CovloopError(
                 f"gcov does not accept {' '.join(GCOV_FLAGS)}; GCC 9 or later is needed")
 
 
@@ -230,11 +224,11 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> Path:
 
 
 def _gcc(*args: str, cwd: Path | None = None) -> None:
-    """Run gcc; a failure raises CompileError with its command and stderr."""
+    """Run gcc; a failure raises CovloopError with its command and stderr."""
     cmd = ["gcc", *args]
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise CompileError(f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
+        raise CovloopError(f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
 
 
 _shim_lock = threading.Lock()
@@ -317,13 +311,10 @@ def _collect_gcov(target: PreparedTarget) -> dict:
         text=True,
     )
     if proc.returncode != 0:
-        raise ToolInvocationError(
-            f"gcov exited with {proc.returncode}: {proc.stderr.strip()}"
-        )
+        raise CovloopError(f"gcov exited with {proc.returncode}: {proc.stderr.strip()}")
     try:
         files = json.loads(proc.stdout)["files"]
         return next(entry for entry in files if entry["file"] == source_name)
     except (ValueError, KeyError, TypeError, StopIteration) as exc:
-        raise ToolInvocationError(
-            f"gcov lists no coverage for {source_name}: {proc.stderr.strip()}"
-        ) from exc
+        raise CovloopError(
+            f"gcov lists no coverage for {source_name}: {proc.stderr.strip()}") from exc

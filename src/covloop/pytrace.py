@@ -22,7 +22,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ._covtrace import instrument
-from .errors import ParseError
+from .errors import CovloopError
 
 # `instrument` swaps the process's warning filters (`warnings.catch_warnings`),
 # and `covloop bench --jobs N` probes sources from N threads.
@@ -61,12 +61,12 @@ def load_store(path: Path, probes: int) -> bytes:
     nonzero once the probe ran in any test.
 
     A missing file means no test ran. A file of another size was not made
-    for this source, and raises ParseError.
+    for this source, and raises CovloopError.
     """
     try:
         hits = path.read_bytes()
     except FileNotFoundError:
         return bytes(probes)
     if len(hits) != probes:
-        raise ParseError(f"hits file {path} has {len(hits)} bytes, its source {probes} probes")
+        raise CovloopError(f"hits file {path} has {len(hits)} bytes, its source {probes} probes")
     return hits

@@ -28,7 +28,7 @@ from covloop.backends import (
     _extract_completion_text,
 )
 from covloop.cache import TestSuiteCache
-from covloop.errors import ContractViolation, MalformedResponse, TransportError
+from covloop.errors import BackendError, ContractViolation, TransportError
 from covloop.model import (
     BranchGap,
     FeedbackRefinement,
@@ -76,7 +76,7 @@ class TestComplete:
 
     def test_malformed_forever_exhausts_retries(self):
         backend = ScriptedBackend(['{"wrong": []}'])
-        with pytest.raises(MalformedResponse, match="after 3 attempts"):
+        with pytest.raises(BackendError, match="after 3 attempts"):
             complete(backend, "p", SchemaId.TEST_CASES)
         assert backend.calls == 3
 
@@ -113,7 +113,7 @@ class TestComplete:
         payload = json.dumps(
             {"gap_explanation": "g", "prompt_refinements": []}
         )
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(BackendError, match="after 3 attempts"):
             complete(ScriptedBackend([payload]), "p", SchemaId.REFINEMENT)
 
 
@@ -128,14 +128,14 @@ def _without(key):
 
 
 class TestReplyContract:
-    """Which replies `complete` accepts: every rejection ends in MalformedResponse."""
+    """Which replies `complete` accepts: every rejection ends in a BackendError."""
 
     @pytest.mark.parametrize("cases", [
         [[True]], [[None]], [[["1"]]], [[{"a": 1}]], ["1"], "x",
     ])
     def test_bad_test_cases_rejected(self, cases):
         backend = ScriptedBackend([json.dumps({"test_cases": cases})])
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(BackendError, match="after 3 attempts"):
             complete(backend, "p", SchemaId.TEST_CASES)
 
     @pytest.mark.parametrize("payload", [
@@ -148,7 +148,7 @@ class TestReplyContract:
     ])
     def test_bad_refinement_rejected(self, payload):
         backend = ScriptedBackend([json.dumps(payload)])
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(BackendError, match="after 3 attempts"):
             complete(backend, "p", SchemaId.REFINEMENT)
 
     def test_extra_top_level_keys_ignored(self):
@@ -375,7 +375,7 @@ class TestFeedbackAgents:
     ], ids=["line", "branch"])
     def test_a_reply_without_proposals_is_malformed(self, ask):
         backend = ScriptedBackend(['{"gap_explanation": "g", "prompt_refinements": []}'])
-        with pytest.raises(MalformedResponse, match="after 3 attempts"):
+        with pytest.raises(BackendError, match="after 3 attempts"):
             ask(backend)
         assert backend.calls == 3
 
@@ -471,7 +471,7 @@ class TestHttpBackend:
     def test_a_text_that_is_not_a_string_is_malformed(self, endpoint, slept, text):
         reply = {"candidates": [{"content": {"parts": [{"text": text}]}}]}
         ScriptedEndpoint.script = [(200, {}, json.dumps(reply))]
-        with pytest.raises(MalformedResponse, match="after 3 attempts"):
+        with pytest.raises(BackendError, match="after 3 attempts"):
             complete(HttpBackend(endpoint, "m"), "p", SchemaId.TEST_CASES)
         assert len(ScriptedEndpoint.seen) == 3
         assert slept == []

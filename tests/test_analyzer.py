@@ -5,7 +5,7 @@ import logging
 import pytest
 
 from covloop.analyzer import LOOP_READ, detect_language, extract_input_signature
-from covloop.errors import UnsupportedLanguage
+from covloop.errors import ContractViolation
 from covloop.model import InputKind, Language
 
 INT = InputKind.INTEGER
@@ -22,7 +22,7 @@ class TestDetectLanguage:
         assert detect_language("prog.py") is Language.PYTHON
 
     def test_other_rejected(self):
-        with pytest.raises(UnsupportedLanguage):
+        with pytest.raises(ContractViolation, match="unsupported extension"):
             detect_language("prog.java")
 
 

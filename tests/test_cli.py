@@ -16,7 +16,7 @@ from covloop import driver
 from covloop.analyzer import LOOP_READ
 from covloop.backends import API_KEY_ENV, HttpBackend, StubBackend, make_backend
 from covloop.cli import _config_from_args, build_parser, main
-from covloop.errors import MalformedResponse
+from covloop.errors import BackendError
 from covloop.model import RunConfig
 from covloop.prompts import MISSING_BRANCHES_ANCHOR, MISSING_LINES_ANCHOR
 
@@ -106,7 +106,7 @@ class TestRunCommand:
     def test_backend_failure_exits_one(self, tmp_path, guard_c, monkeypatch, capsys):
         class FailsAtOnce(StubBackend):
             def raw_complete(self, prompt, schema_id):
-                raise MalformedResponse("model went away")
+                raise BackendError("model went away")
 
         monkeypatch.setattr(driver, "make_backend", lambda config: FailsAtOnce())
         out = tmp_path / "out"
@@ -370,13 +370,14 @@ class TestBenchCommand:
         code = main(["bench", str(bench_dir), "--out", str(out)])
         assert code == 0
         lines = (out / "report.csv").read_text().splitlines()
-        assert lines[0] == "program,bound,branch_coverage,line_coverage,execution_time_sec"
+        assert lines[0] == ("program,bound,branch_coverage,line_coverage,execution_time_sec,"
+                            "termination")
         assert len(lines) == 3
         assert lines[1].startswith("echo,-,")
         assert lines[2].startswith("guard,-,")
         table = [line.split(",") for line in lines]
         assert (out / "report.md").read_text().splitlines() == [
-            "| " + " | ".join(table[0]) + " |", "|---|---|---|---|---|",
+            "| " + " | ".join(table[0]) + " |", "|---|---|---|---|---|---|",
             *("| " + " | ".join(row) + " |" for row in table[1:])]
         curves = (out / "curves.csv").read_text().splitlines()
         assert curves[0] == "program,k,line,branch"
@@ -389,7 +390,7 @@ class TestBenchCommand:
         code = main(["bench", str(empty), "--out", str(out)])
         assert code == 0
         assert (out / "report.csv").read_text().splitlines() == [
-            "program,bound,branch_coverage,line_coverage,execution_time_sec"
+            "program,bound,branch_coverage,line_coverage,execution_time_sec,termination"
         ]
 
     def test_failing_target_marked_error_and_run_continues(self, tmp_path, bench_dir):
@@ -399,15 +400,17 @@ class TestBenchCommand:
         assert code == 0
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
-        assert any(row.startswith("broken,-,ERROR,ERROR") for row in rows)
+        assert "broken,-,ERROR,ERROR,ERROR,ERROR" in rows
 
     def test_a_backend_failure_still_gets_its_row(self, tmp_path, bench_dir, endpoint):
         ScriptedEndpoint.script = [TEXTLESS_REPLY]
         out = tmp_path / "out"
         assert main(["bench", str(bench_dir), "--endpoint", endpoint, "--out", str(out)]) == 0
         rows = (out / "report.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[:4] for row in rows] == [
-            ["echo", "-", "100.00", "0.00"], ["guard", "-", "0.00", "0.00"],
+        cells = [row.split(",") for row in rows]
+        assert [c[:4] + c[5:] for c in cells] == [
+            ["echo", "-", "100.00", "0.00", "backend_failure"],
+            ["guard", "-", "0.00", "0.00", "backend_failure"],
         ]  # echo has no branch, so none is missed
         assert len(ScriptedEndpoint.seen) == 6
 
@@ -453,6 +456,7 @@ class TestBenchCommand:
             cells = row.split(",")
             assert float(cells[2]) == result["final_coverage"]["branch_coverage"]
             assert float(cells[3]) == result["final_coverage"]["line_coverage"]
+            assert cells[5] == result["termination"]
 
     def test_mixed_language_suite(self, tmp_path):
         suite = tmp_path / "suite"

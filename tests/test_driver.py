@@ -15,7 +15,7 @@ from covloop import driver, harness
 from covloop.backends import CompletionBackend, SchemaId, StubBackend
 from covloop.cache import TestSuiteCache
 from covloop.driver import run_loop
-from covloop.errors import MalformedResponse, TransportError, UnsupportedLanguage
+from covloop.errors import BackendError, ContractViolation, TransportError
 from covloop.model import BranchGap, CoverageReport, Termination
 
 
@@ -144,7 +144,7 @@ class TestTermination:
     def test_unsupported_language_propagates(self, tmp_path):
         source = tmp_path / "prog.rs"
         source.write_text("fn main() {}\n")
-        with pytest.raises(UnsupportedLanguage):
+        with pytest.raises(ContractViolation, match="unsupported extension"):
             run_loop(make_config(tmp_path), source)
 
 
@@ -178,7 +178,7 @@ class TestBackendFailure:
                 if schema_id is SchemaId.TEST_CASES:
                     self.generations += 1
                     if self.generations > 1:
-                        raise MalformedResponse("model went away")
+                        raise BackendError("model went away")
                 return super().raw_complete(prompt, schema_id)
 
         config = make_config(tmp_path, threshold=99.9)
@@ -195,7 +195,7 @@ class TestBackendFailure:
             self, tmp_path, request, fixture, lines):
         class FailsAtOnce(StubBackend):
             def raw_complete(self, prompt, schema_id):
-                raise MalformedResponse("model went away")
+                raise BackendError("model went away")
 
         source = request.getfixturevalue(fixture)
         result = run_loop(make_config(tmp_path), source, backend=FailsAtOnce())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import artifact_fields
-from covloop.errors import ParseError
+from covloop.errors import CovloopError
 from covloop.evaluator import (
     emit_artifact,
     parse_gcov,
@@ -106,7 +106,7 @@ class TestParseGcov:
             entry(line(1, 1) | {"branches": [{"taken": 1}]}),
             [],
         ):
-            with pytest.raises(ParseError):
+            with pytest.raises(CovloopError, match="does not match expected schema"):
                 parse_gcov(bad)
 
 

@@ -1,6 +1,7 @@
 """Every name a covloop module, a test file or a benchmark script imports at
-module level is used in it, and every private name a covloop module defines
-at module level is used in that module."""
+module level is used in it, every private name a covloop module defines at
+module level is used in that module, and every exception class covloop
+defines is caught by name in some covloop module."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,27 @@ def test_an_unused_private_name_is_found():
     source = ("_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): return _A\n"
               "def _g(): pass\nclass _C: pass\n_f()\n")
     assert unused_private_names(source) == ["_g", "_C", "_B"]
+
+
+def caught_names(source: str) -> set[str]:
+    """The names an `except` clause of the module catches."""
+    caught = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in types)
+    return caught
+
+
+def test_each_error_class_is_caught_by_name_somewhere():
+    errors = (Path(covloop.__file__).parent / "errors.py").read_text(encoding="utf-8")
+    classes = [stmt.name for stmt in ast.parse(errors).body
+               if isinstance(stmt, ast.ClassDef)]
+    caught = set().union(*(caught_names(path.read_text(encoding="utf-8")) for path in PACKAGE))
+    assert [name for name in classes if name not in caught] == []
+
+
+def test_a_caught_name_is_found():
+    source = ("try:\n    pass\nexcept A:\n    pass\nexcept (B, m.C) as e:\n    pass\n"
+              "except:\n    pass\n")
+    assert caught_names(source) == {"A", "B", "C"}

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import require_interpreter
 from covloop import _covtrace, harness, pytrace
-from covloop.errors import ParseError
+from covloop.errors import CovloopError
 from covloop.evaluator import parse_gcov
 from covloop.model import BranchGap, TestCase
 
@@ -161,9 +161,9 @@ class TestLoadStore:
         probes = len(_covtrace.instrument(ast.parse(BRANCHY)))
         for size in (0, probes - 1, probes + 1):
             hits.write_bytes(bytes(size))
-            with pytest.raises(ParseError, match=re.escape(str(hits))):
+            with pytest.raises(CovloopError, match=re.escape(str(hits))):
                 pytrace.load_store(hits, probes)
-            with pytest.raises(ParseError, match=re.escape(str(hits))):
+            with pytest.raises(CovloopError, match=re.escape(str(hits))):
                 pytrace.build_export(BRANCHY, hits)
         hits.write_bytes(bytes([1] * probes))
         assert pytrace.load_store(hits, probes) == bytes([1] * probes)
