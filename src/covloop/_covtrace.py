@@ -1,13 +1,14 @@
 """Statement and branch probes for Python targets, and their test server.
 
 Usage: `python _covtrace.py <hits> <script.py> [args...]`. Compiles the
-script with probes (see `instrument`), runs it as `__main__`, and passes its
-exit code through. The probes store into <hits>, a file of one byte per
-probe mapped shared, as the counters gcc compiles into a C target live in
-its `.gcda` file: a probe's store lands in the file when it runs, from any
-thread, and stays there however the process ends. `pytrace` maps the bytes
-back to lines and arms through the same `instrument`. This file imports only
-what probing and serving need.
+script with probes (see `instrument`), runs it as `__main__` with its
+directory first on `sys.path`, and passes its exit code through. The probes
+store into <hits>, a file of one byte per probe mapped shared, as the
+counters gcc compiles into a C target live in its `.gcda` file: a probe's
+store lands in the file when it runs, from any thread, and stays there
+however the process ends. `pytrace` maps the bytes back to lines and arms
+through the same `instrument`. This file imports only what probing and
+serving need.
 
 Started by covloop with SERVER_ENV=<control fd>,<status fd> in its
 environment, it is instead the target's test server (the protocol is
@@ -158,6 +159,7 @@ def run(code, hits, script_path: str, argv: list[str]) -> int:
     setattr(module, HITS, hits)
     sys.modules["__main__"] = module
     sys.argv = [script_path, *argv]
+    sys.path[0] = os.path.dirname(script_path)
     try:
         exec(code, module.__dict__)
     except SystemExit as exc:

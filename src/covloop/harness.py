@@ -6,12 +6,14 @@ Each run owns a workdir with a fixed layout:
     coverage/      iter_<k>.json coverage artifacts; hits, the Python probes' hits file
     TestCases/     persisted novel test inputs
     prompts/       iter_<k>.txt, the generation prompt of each iteration
-    manifest.json  tool versions, flags and linker used, for reproducibility
+    manifest.json  tool versions and build flags, for reproducibility
     result.json    written by the loop driver when the run ends
 
 Preparing a target removes these entries, and only these, so a reused
 workdir shows only the last run. A workdir that holds any of them without a
 manifest.json written by covloop is refused, so `.` keeps its own `build/`.
+A target sees the headers and modules next to its source: gcc gets `-iquote`
+with the source's directory, and a script runs as `python <source>` would.
 
 C targets are built by one gcc process, which compiles with profile
 instrumentation and `-pipe`, and links with gold when gcc can, with its
@@ -138,10 +140,18 @@ def _gcov_version() -> str | None:
 def _first_line(*cmd: str) -> str | None:
     """The first line `cmd` prints, or None if it fails; each runs once per process."""
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10, check=True)
-    except (OSError, subprocess.SubprocessError):
+        return _run(*cmd, timeout=10).stdout.partition("\n")[0]
+    except (OSError, subprocess.SubprocessError, CovloopError):
         return None
-    return proc.stdout.partition("\n")[0]
+
+
+def _run(*cmd: str, cwd: Path | None = None,
+         timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run a tool; a nonzero status raises CovloopError with its command and stderr."""
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=timeout)
+    if proc.returncode != 0:
+        raise CovloopError(f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
+    return proc
 
 
 def _links_with_gold() -> bool:
@@ -151,15 +161,17 @@ def _links_with_gold() -> bool:
     return _first_line("gcc", "-fuse-ld=gold", "-Wl,--version") is not None
 
 
-def _build_flags() -> list[str]:
-    """The flags of the one gcc process that builds a C target."""
-    return [*GCC_COVERAGE_FLAGS, "-pipe", *(["-fuse-ld=gold"] if _links_with_gold() else [])]
+def _build_flags(source_dir: Path) -> list[str]:
+    """The flags of the one gcc process that builds a C target from `source_dir`."""
+    return [*GCC_COVERAGE_FLAGS, "-pipe", *(["-fuse-ld=gold"] if _links_with_gold() else []),
+            "-iquote", str(source_dir)]
 
 
 def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarget:
     """Set up the workdir and produce an instrumented, runnable target in the
     language its suffix names."""
     source_path = Path(source_path)
+    source = source_path.resolve()
     language = detect_language(source_path)
     check_toolchain(language)
     # Targets run from inside the build directory, so paths must not be relative.
@@ -167,7 +179,7 @@ def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarg
     target = PreparedTarget(workdir, source_path.name)
     directories = (target.build_dir, target.coverage_dir,
                    target.testcases_dir, target.prompts_dir)
-    if any(source_path.resolve().is_relative_to(d) for d in directories):
+    if any(source.is_relative_to(d) for d in directories):
         raise ContractViolation(f"{source_path} is in a directory each run resets")
     manifest = workdir / "manifest.json"
     entries = (*directories, manifest, target.result_path)
@@ -182,21 +194,21 @@ def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarg
     target.result_path.unlink(missing_ok=True)
     # Written before the build, so a failed build still leaves a workdir
     # that the next run recognises as its own.
-    _write_manifest(target)
+    _write_manifest(target, source.parent)
 
-    local_source = target.build_dir / source_path.name
-    shutil.copyfile(source_path, local_source)
+    shutil.copyfile(source_path, target.build_dir / source_path.name)
 
     if language is Language.C:
-        target.test_argv = (str(_compile_c(target, local_source)),)
+        target.test_argv = (str(_compile_c(target, source.parent)),)
     else:
         # Copied without its suffix, so no script can have the prober's name.
         prober = target.build_dir / _PROBER.stem
         shutil.copyfile(_PROBER, prober)
         # At covloop's own -O level, so the server's probes fold `__debug__`
-        # as `pytrace.build_export` does here.
+        # as `pytrace.build_export` does here; from the source, as its own
+        # imports and file paths expect.
         target.test_argv = (sys.executable, *(["-O"] * sys.flags.optimize), str(prober),
-                            str(target.data_store), str(local_source))
+                            str(target.data_store), str(source))
     return target
 
 
@@ -208,7 +220,7 @@ def _is_covloop_manifest(path: Path) -> bool:
     return isinstance(manifest, dict) and {"language", "source"} <= manifest.keys()
 
 
-def _compile_c(target: PreparedTarget, local_source: Path) -> Path:
+def _compile_c(target: PreparedTarget, source_dir: Path) -> Path:
     """Build the target's binary and return its path."""
     binary = target.build_dir / "target"
     shim = target.build_dir / "_forksrv.o"
@@ -218,17 +230,9 @@ def _compile_c(target: PreparedTarget, local_source: Path) -> Path:
     # compiled into the target stays absolute. The shim comes last, so its
     # constructor runs after the target's own. The source goes in as `./<name>`,
     # here and to gcov, so a name such as `-g.c` is never read as an option.
-    _gcc(*_build_flags(), "-dumpdir", "./", f"./{local_source.name}", shim.name,
-         "-o", binary.name, cwd=target.build_dir)
+    _run("gcc", *_build_flags(source_dir), "-dumpdir", "./", f"./{target.source_name}",
+         shim.name, "-o", binary.name, cwd=target.build_dir)
     return binary
-
-
-def _gcc(*args: str, cwd: Path | None = None) -> None:
-    """Run gcc; a failure raises CovloopError with its command and stderr."""
-    cmd = ["gcc", *args]
-    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CovloopError(f"{' '.join(cmd)} failed with status {proc.returncode}:\n{proc.stderr}")
 
 
 _shim_lock = threading.Lock()
@@ -246,11 +250,11 @@ def _compile_shim() -> bytes:
     # cc1 then peaks no higher than for a target, and lower than at -O2.
     with tempfile.TemporaryDirectory(prefix="covloop-") as scratch:
         out = Path(scratch) / "_forksrv.o"
-        _gcc("-O0", "-c", str(Path(__file__).with_name(_SHIM_NAME)), "-o", str(out))
+        _run("gcc", "-O0", "-c", str(Path(__file__).with_name(_SHIM_NAME)), "-o", str(out))
         return out.read_bytes()
 
 
-def _write_manifest(target: PreparedTarget) -> None:
+def _write_manifest(target: PreparedTarget, source_dir: Path) -> None:
     manifest = {
         "language": target.language.value,
         "source": target.source_name,
@@ -260,8 +264,7 @@ def _write_manifest(target: PreparedTarget) -> None:
     if target.language is Language.C:
         manifest["gcc"] = _first_line("gcc", "--version") or "unknown"
         manifest["gcov"] = _gcov_version()
-        manifest["build_flags"] = _build_flags()
-        manifest["linker"] = "gold" if _links_with_gold() else "default"
+        manifest["build_flags"] = _build_flags(source_dir)
         manifest["gcov_flags"] = GCOV_FLAGS
     (target.workdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
@@ -304,14 +307,7 @@ def collect_raw_coverage(target: PreparedTarget) -> dict:
 
 def _collect_gcov(target: PreparedTarget) -> dict:
     source_name = target.source_name
-    proc = subprocess.run(
-        ["gcov", *GCOV_FLAGS, f"./{source_name}"],
-        cwd=target.build_dir,
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        raise CovloopError(f"gcov exited with {proc.returncode}: {proc.stderr.strip()}")
+    proc = _run("gcov", *GCOV_FLAGS, f"./{source_name}", cwd=target.build_dir)
     try:
         files = json.loads(proc.stdout)["files"]
         return next(entry for entry in files if entry["file"] == source_name)

@@ -224,7 +224,6 @@ class TestPrepareTarget:
             manifest = json.loads((target.workdir / "manifest.json").read_text())
             assert manifest["language"] == "c"
             assert {"-ftest-coverage", "-pipe"} <= set(manifest["build_flags"])
-            assert manifest["linker"] == linker
             assert ("-fuse-ld=gold" in manifest["build_flags"]) == (linker == "gold")
             gold_note = b".note.gnu.gold-version" in (target.build_dir / "target").read_bytes()
             assert gold_note == (linker == "gold")
@@ -311,6 +310,24 @@ class TestRunTest:
         outcome = harness.run_test(target, TestCase(("21",)), timeout=10.0)
         assert outcome.exit_status == 42
         assert target.data_store.exists()
+
+    def test_c_includes_a_header_next_to_its_source(self, tmp_path):
+        (tmp_path / "limit.h").write_text("#define LIMIT 7\n")
+        target = prepare_c(tmp_path, '#include "limit.h"\nint main(void) { return LIMIT; }\n')
+        assert harness.run_test(target, TestCase(("1",)), timeout=5.0).exit_status == 7
+        manifest = json.loads((target.workdir / "manifest.json").read_text())
+        assert manifest["build_flags"][-2:] == ["-iquote", str(tmp_path.resolve())]
+
+    def test_python_imports_and_opens_files_next_to_its_source(self, tmp_path):
+        (tmp_path / "limit.py").write_text("LIMIT = 7\n")
+        (tmp_path / "extra.txt").write_text("5\n")
+        source = ("import os\nfrom limit import LIMIT\n"
+                  "with open(os.path.join(os.path.dirname(__file__), 'extra.txt')) as f:\n"
+                  "    raise SystemExit(LIMIT + int(f.read()))\n")
+        target = prepare_py(tmp_path, source)
+        assert harness.run_test(target, TestCase(("1",)), timeout=10.0).exit_status == 12
+        report = parse_gcov(harness.collect_raw_coverage(target))
+        assert report.missing_lines == frozenset()
 
     def test_python_timeout_keeps_the_lines_it_reached(self, tmp_path):
         source = "if input() == 'spin':\n    while True:\n        pass\nprint('done')\n"
@@ -714,7 +731,8 @@ class TestCollectRawCoverage:
         fake.write_text("#!/bin/sh\necho 'cannot open notes file' >&2\nexit 3\n")
         fake.chmod(0o755)
         monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
-        with pytest.raises(CovloopError, match="gcov exited with 3: cannot open notes"):
+        with pytest.raises(CovloopError, match=r"gcov -b --json-format --stdout \./prog\.c "
+                           r"failed with status 3:\ncannot open notes"):
             harness.collect_raw_coverage(target)
 
     def test_python_before_any_run_reports_zero_counters(self, tmp_path):
