@@ -10,11 +10,12 @@ however the process ends. `pytrace` maps the bytes back to lines and arms
 through the same `instrument`. This file imports only what probing and
 serving need.
 
-Started by covloop with SERVER_ENV=<control fd>,<status fd> in its
-environment, it is instead the target's test server (the protocol is
-described in testserver.py): the interpreter starts, and the script is
-parsed, probed, compiled and its hits file mapped, once; each test is a
-forked child that runs the compiled script as above. This file runs alone,
+Started by covloop, from its installed package and on the target's own
+script, with SERVER_ENV=<control fd>,<status fd> in its environment, it is
+instead the target's test server (the protocol is described in
+testserver.py): the interpreter starts, and the script is parsed, probed,
+compiled and its hits file mapped, once; each test is a forked child that
+runs the compiled script as above. This file runs alone,
 so it holds the protocol's Python spelling: SERVER_ENV, and the REQUEST and
 REPLY structs; testserver.py imports them, and `_forksrv.c` spells them in C.
 """

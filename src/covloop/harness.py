@@ -2,7 +2,7 @@
 
 Each run owns a workdir with a fixed layout:
 
-    build/         compiled binary, or copied script and `_covtrace` prober; instrumentation
+    build/         C: the binary, its .gcno and .gcda; both: files the tests write
     coverage/      iter_<k>.json coverage artifacts; hits, the Python probes' hits file
     TestCases/     persisted novel test inputs
     prompts/       iter_<k>.txt, the generation prompt of each iteration
@@ -12,13 +12,16 @@ Each run owns a workdir with a fixed layout:
 Preparing a target removes these entries, and only these, so a reused
 workdir shows only the last run. A workdir that holds any of them without a
 manifest.json written by covloop is refused, so `.` keeps its own `build/`.
-A target sees the headers and modules next to its source: gcc gets `-iquote`
-with the source's directory, and a script runs as `python <source>` would.
+Every target is built and served from its own source, which is never
+copied: gcc runs in the source's directory, so quoted includes resolve
+beside it, and a script runs as `python <source>` would. The prober and the
+shim's source are covloop's installed files. A source must stay as it is
+while its run lasts.
 
 C targets are built by one gcc process, which compiles with profile
 instrumentation and `-pipe`, and links with gold when gcc can, with its
 default linker otherwise. Coverage is read back through `gcov -b
---json-format --stdout`, so gcov must accept those flags (GCC 9 or later,
+--json-format --stdout`, so gcov must accept those flags (GCC 11 or later,
 tested with GCC 12.2); no `.gcov` file is written. Python targets run with
 probes compiled in by the bundled `_covtrace.py`, one byte of the hits file
 per statement and per if/while/for arm, which a test sets as it runs, and
@@ -40,6 +43,7 @@ reads only its exit status. The servers need Linux 5.3 or later.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import shutil
@@ -60,13 +64,13 @@ from .testserver import TestServer
 GCC_COVERAGE_FLAGS = ["-fprofile-arcs", "-ftest-coverage", "-O0"]
 GCOV_FLAGS = ["-b", "--json-format", "--stdout"]  # without -b: no branches
 _PROBER = Path(__file__).with_name("_covtrace.py")
-_SHIM_NAME = "_forksrv.c"
+_SHIM = Path(__file__).with_name("_forksrv.c")
 
 
 @dataclass
 class PreparedTarget:
     workdir: Path
-    source_name: str
+    source: Path  # resolved
     test_argv: tuple[str, ...] = ()  # the command that starts the test server
     _server: TestServer | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -84,7 +88,7 @@ class PreparedTarget:
 
     @property
     def language(self) -> Language:
-        return detect_language(self.source_name)
+        return detect_language(self.source)
 
     @property
     def build_dir(self) -> Path:
@@ -125,9 +129,10 @@ def check_toolchain(language: Language) -> None:
         for tool in ("gcc", "gcov"):
             if shutil.which(tool) is None:
                 raise CovloopError(f"required tool not on PATH: {tool}")
-        if _gcov_version() is None:
-            raise CovloopError(
-                f"gcov does not accept {' '.join(GCOV_FLAGS)}; GCC 9 or later is needed")
+        major = (_first_line(shutil.which("gcc"), "-dumpversion") or "0").partition(".")[0]
+        if not major.isdigit() or int(major) < 11 or _gcov_version() is None:
+            raise CovloopError(f"GCC 11 or later is needed (gcc -dumpversion gave {major}),"
+                               f" with a gcov that accepts {' '.join(GCOV_FLAGS)}")
 
 
 def _gcov_version() -> str | None:
@@ -161,25 +166,23 @@ def _links_with_gold() -> bool:
     return _first_line("gcc", "-fuse-ld=gold", "-Wl,--version") is not None
 
 
-def _build_flags(source_dir: Path) -> list[str]:
-    """The flags of the one gcc process that builds a C target from `source_dir`."""
-    return [*GCC_COVERAGE_FLAGS, "-pipe", *(["-fuse-ld=gold"] if _links_with_gold() else []),
-            "-iquote", str(source_dir)]
+def _build_flags() -> list[str]:
+    """The flags of the one gcc process that builds a C target."""
+    return [*GCC_COVERAGE_FLAGS, "-pipe", *(["-fuse-ld=gold"] if _links_with_gold() else [])]
 
 
 def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarget:
     """Set up the workdir and produce an instrumented, runnable target in the
     language its suffix names."""
-    source_path = Path(source_path)
-    source = source_path.resolve()
-    language = detect_language(source_path)
+    # Resolved: gcc and the tests run elsewhere, and gcc sees the resolved name.
+    source = Path(source_path).resolve()
+    language = detect_language(source)
     check_toolchain(language)
-    # Targets run from inside the build directory, so paths must not be relative.
     workdir = Path(workdir).resolve()
-    target = PreparedTarget(workdir, source_path.name)
+    target = PreparedTarget(workdir, source)
     directories = (target.build_dir, target.coverage_dir,
                    target.testcases_dir, target.prompts_dir)
-    if any(source.is_relative_to(d) for d in directories):
+    if any(target.source.is_relative_to(d) for d in directories):
         raise ContractViolation(f"{source_path} is in a directory each run resets")
     manifest = workdir / "manifest.json"
     entries = (*directories, manifest, target.result_path)
@@ -194,21 +197,14 @@ def prepare_target(source_path: str | Path, workdir: str | Path) -> PreparedTarg
     target.result_path.unlink(missing_ok=True)
     # Written before the build, so a failed build still leaves a workdir
     # that the next run recognises as its own.
-    _write_manifest(target, source.parent)
-
-    shutil.copyfile(source_path, target.build_dir / source_path.name)
-
+    _write_manifest(target)
     if language is Language.C:
-        target.test_argv = (str(_compile_c(target, source.parent)),)
+        target.test_argv = (str(_compile_c(target)),)
     else:
-        # Copied without its suffix, so no script can have the prober's name.
-        prober = target.build_dir / _PROBER.stem
-        shutil.copyfile(_PROBER, prober)
         # At covloop's own -O level, so the server's probes fold `__debug__`
-        # as `pytrace.build_export` does here; from the source, as its own
-        # imports and file paths expect.
-        target.test_argv = (sys.executable, *(["-O"] * sys.flags.optimize), str(prober),
-                            str(target.data_store), str(source))
+        # as `pytrace.build_export` does here.
+        target.test_argv = (sys.executable, *(["-O"] * sys.flags.optimize), str(_PROBER),
+                            str(target.data_store), str(target.source))
     return target
 
 
@@ -220,51 +216,53 @@ def _is_covloop_manifest(path: Path) -> bool:
     return isinstance(manifest, dict) and {"language", "source"} <= manifest.keys()
 
 
-def _compile_c(target: PreparedTarget, source_dir: Path) -> Path:
+def _compile_c(target: PreparedTarget) -> Path:
     """Build the target's binary and return its path."""
     binary = target.build_dir / "target"
-    shim = target.build_dir / "_forksrv.o"
-    shim.write_bytes(_shim_object())
-    # One gcc process compiles and links. `-dumpdir ./` names the note file
-    # `<stem>.gcno` after the source, not after the binary, and the .gcda path
-    # compiled into the target stays absolute. The shim comes last, so its
-    # constructor runs after the target's own. The source goes in as `./<name>`,
-    # here and to gcov, so a name such as `-g.c` is never read as an option.
-    _run("gcc", *_build_flags(source_dir), "-dumpdir", "./", f"./{target.source_name}",
-         shim.name, "-o", binary.name, cwd=target.build_dir)
+    # One gcc process compiles and links, in the source's directory, as any
+    # build of it would. From GCC 11 on, `-dumpdir` puts the note file in
+    # build/ and names it `<stem>.gcno` after the source, not after the binary,
+    # and the .gcda path compiled into the target is build/'s, which is
+    # absolute. The shim comes last, so its constructor runs after the target's
+    # own. The source goes in as `./<name>`, here and to gcov, so a name such
+    # as `-g.c` is never read as an option; gcov names the file `<name>`.
+    _run("gcc", *_build_flags(), "-dumpdir", f"{target.build_dir}/", f"./{target.source.name}",
+         str(_shim_object()), "-o", str(binary), cwd=target.source.parent)
     return binary
 
 
 _shim_lock = threading.Lock()
 
 
-def _shim_object() -> bytes:
-    """The fork server shim, compiled once per process; safe across threads."""
+def _shim_object() -> Path:
+    """The fork server shim's object file, which every C target links:
+    compiled once per process and removed when it exits; safe across threads."""
     with _shim_lock:
         return _compile_shim()
 
 
 @functools.cache
-def _compile_shim() -> bytes:
+def _compile_shim() -> Path:
     # Uninstrumented, as its lines are not the target's. At -O0, because
     # cc1 then peaks no higher than for a target, and lower than at -O2.
-    with tempfile.TemporaryDirectory(prefix="covloop-") as scratch:
-        out = Path(scratch) / "_forksrv.o"
-        _run("gcc", "-O0", "-c", str(Path(__file__).with_name(_SHIM_NAME)), "-o", str(out))
-        return out.read_bytes()
+    scratch = tempfile.mkdtemp(prefix="covloop-")
+    atexit.register(shutil.rmtree, scratch, ignore_errors=True)
+    out = Path(scratch) / "_forksrv.o"
+    _run("gcc", "-O0", "-c", str(_SHIM), "-o", str(out))
+    return out
 
 
-def _write_manifest(target: PreparedTarget, source_dir: Path) -> None:
+def _write_manifest(target: PreparedTarget) -> None:
     manifest = {
         "language": target.language.value,
-        "source": target.source_name,
+        "source": target.source.name,
         "created": datetime.now(timezone.utc).isoformat(),
         "python": sys.version.split()[0],
     }
     if target.language is Language.C:
         manifest["gcc"] = _first_line("gcc", "--version") or "unknown"
         manifest["gcov"] = _gcov_version()
-        manifest["build_flags"] = _build_flags(source_dir)
+        manifest["build_flags"] = _build_flags()
         manifest["gcov_flags"] = GCOV_FLAGS
     (target.workdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
@@ -301,12 +299,12 @@ def collect_raw_coverage(target: PreparedTarget) -> dict:
     """
     if target.language is Language.C:
         return _collect_gcov(target)
-    source = (target.build_dir / target.source_name).read_text(encoding="utf-8-sig")
+    source = target.source.read_text(encoding="utf-8-sig")
     return pytrace.build_export(source, target.data_store)
 
 
 def _collect_gcov(target: PreparedTarget) -> dict:
-    source_name = target.source_name
+    source_name = target.source.name
     proc = _run("gcov", *GCOV_FLAGS, f"./{source_name}", cwd=target.build_dir)
     try:
         files = json.loads(proc.stdout)["files"]

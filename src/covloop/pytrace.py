@@ -1,12 +1,12 @@
 """Line and branch coverage for Python targets, from the probes' hits file.
 
-Python targets run with probes compiled in by `_covtrace.instrument` (the
-file is copied into a run's build directory): one before each statement,
-and one at the head of each arm of each if/while/for whose test the
-compiler does not fold to a constant. Each probe stores into its own byte of
-the hits file. This module rebuilds the probe table from the source with the
-same function and maps the hits to a gcov JSON file entry, the raw coverage
-format of both lanes.
+Python targets run with probes compiled in by `_covtrace.instrument`, which
+covloop runs from its installed package on the target's own script: one
+before each statement, and one at the head of each arm of each if/while/for
+whose test the compiler does not fold to a constant. Each probe stores into
+its own byte of the hits file. This module rebuilds the probe table from
+that same script with the same function and maps the hits to a gcov JSON
+file entry, the raw coverage format of both lanes.
 
 An executable line is the first line of a statement that can run, so a
 statement that spans lines counts once. Branch model: each if/while/for

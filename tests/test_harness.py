@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -78,16 +79,27 @@ class TestPrepareTarget:
             harness.prepare_target(bad, tmp_path / "work")
         assert "error" in str(exc.value)
 
-    def test_python_copies_script_and_tracer(self, tmp_path):
-        target = prepare_py(tmp_path, "print(input())\n")
-        assert (target.build_dir / "prog.py").read_text() == "print(input())\n"
-        assert (target.build_dir / "_covtrace").exists()
+    @pytest.mark.parametrize("name, source, built", [
+        ("prog.c", ECHO_C, ["prog.gcda", "prog.gcno", "target"]),
+        ("prog.py", "open('wrote.txt', 'w').write(input())\n", ["wrote.txt"]),
+    ], ids=["c", "python"])
+    def test_build_holds_only_what_gcc_and_the_tests_write(self, tmp_path, name, source, built):
+        project = tmp_path / "project"
+        project.mkdir()
+        (project / name).write_text(source)
+        listed = sorted(project.iterdir())
+        target = harness.prepare_target(project / name, tmp_path / "work")
+        assert target.source == (project / name).resolve()
         assert not target.data_store.exists()  # fresh store, created on first run
+        assert harness.run_test(target, TestCase(("1",)), timeout=10.0).exit_status == 0
+        assert parse_gcov(harness.collect_raw_coverage(target)).missing_lines == frozenset()
+        target.close()
+        assert sorted(p.name for p in target.build_dir.iterdir()) == built
+        assert sorted(project.iterdir()) == listed
 
     def test_python_script_named_like_the_prober_is_measured_as_itself(self, tmp_path):
         source = "x = input()\nif x == 'a':\n    print(1)\nprint(2)\n"
         target = prepare_py(tmp_path, source, name="_covtrace.py")
-        assert (target.build_dir / "_covtrace.py").read_text() == source
         assert harness.run_test(target, TestCase(("a",)), timeout=10.0).exit_status == 0
         report = parse_gcov(harness.collect_raw_coverage(target))
         assert report.executed_lines == frozenset({1, 2, 3, 4})
@@ -100,9 +112,26 @@ class TestPrepareTarget:
             harness.prepare_target(source, tmp_path / "work")
         assert not (tmp_path / "work").exists()
 
+    def test_symlinked_source_is_taken_by_its_resolved_name(self, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "limit.h").write_text("#define LIMIT 7\n")
+        (real / "prog.c").write_text('#include "limit.h"\nint main(void) { return LIMIT; }\n')
+        (tmp_path / "link.c").symlink_to(real / "prog.c")
+        target = harness.prepare_target(tmp_path / "link.c", tmp_path / "work")
+        assert json.loads((target.workdir / "manifest.json").read_text())["source"] == "prog.c"
+        assert harness.run_test(target, TestCase(("1",)), timeout=5.0).exit_status == 7
+        target.close()
+        (tmp_path / "gen.c").symlink_to(real / "generated_src")
+        (real / "generated_src").write_text(ECHO_C)
+        with pytest.raises(ContractViolation, match="unsupported extension"):
+            harness.prepare_target(tmp_path / "gen.c", tmp_path / "fresh")
+        assert not (tmp_path / "fresh").exists()
+
     def test_source_inside_a_reset_entry_is_refused(self, tmp_path):
         target = prepare_c(tmp_path)
         built_source = target.build_dir / "prog.c"
+        built_source.write_text(ECHO_C)
         with pytest.raises(ContractViolation):
             harness.prepare_target(built_source, target.workdir)
         assert built_source.read_text() == ECHO_C
@@ -188,6 +217,17 @@ class TestPrepareTarget:
             prepare_c(tmp_path)
         assert not (tmp_path / "work").exists()
 
+    def test_gcc_before_11_is_refused_before_compiling(self, tmp_path, monkeypatch):
+        # Before GCC 11, -dumpdir does not place the .gcno and .gcda files.
+        fake = tmp_path / "bin" / "gcc"
+        fake.parent.mkdir()
+        fake.write_text('#!/bin/sh\ncase "$*" in *-dumpversion*) echo 10;; *) exit 1;; esac\n')
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
+        with pytest.raises(CovloopError, match=r"GCC 11 .* \(gcc -dumpversion gave 10\)"):
+            prepare_c(tmp_path)
+        assert not (tmp_path / "work").exists()
+
     def test_no_gcc_on_path_is_refused(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))
         with pytest.raises(CovloopError, match="required tool not on PATH: gcc"):
@@ -214,6 +254,15 @@ class TestPrepareTarget:
             assert not thread.is_alive()
         assert len(compiles) == 1
         assert len(results) == 4 and len(set(results)) == 1
+
+    def test_shim_object_is_removed_when_the_process_exits(self):
+        code = "from covloop import harness; print(harness._shim_object())"
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True, check=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        shim = Path(proc.stdout.strip())
+        assert shim.name == "_forksrv.o" and proc.stderr == ""
+        assert not shim.parent.exists()
 
     def test_manifest_records_tools_and_flags(self, tmp_path, monkeypatch):
         linkers = ["gold"] if harness._links_with_gold() else []
@@ -253,10 +302,8 @@ class TestPrepareTarget:
             return real_run(cmd, *args, **kwargs)
 
         monkeypatch.setattr(harness.subprocess, "run", recording_run)
-        target = prepare_c(tmp_path)
+        prepare_c(tmp_path)
         assert [cmd[0] for cmd in spawned] == ["gcc"]
-        assert sorted(p.name for p in target.build_dir.iterdir()) == [
-            "_forksrv.o", "prog.c", "prog.gcno", "target"]
 
 
 class TestRunTest:
@@ -315,8 +362,6 @@ class TestRunTest:
         (tmp_path / "limit.h").write_text("#define LIMIT 7\n")
         target = prepare_c(tmp_path, '#include "limit.h"\nint main(void) { return LIMIT; }\n')
         assert harness.run_test(target, TestCase(("1",)), timeout=5.0).exit_status == 7
-        manifest = json.loads((target.workdir / "manifest.json").read_text())
-        assert manifest["build_flags"][-2:] == ["-iquote", str(tmp_path.resolve())]
 
     def test_python_imports_and_opens_files_next_to_its_source(self, tmp_path):
         (tmp_path / "limit.py").write_text("LIMIT = 7\n")
@@ -518,9 +563,9 @@ class TestTestServer:
 
     def test_target_defining_read_and_write_matches_a_plain_build(self, tmp_path):
         target = prepare_c(tmp_path, OWN_READ_AND_WRITE_C, "rw.c")
-        plain = harness.PreparedTarget(tmp_path / "plain", "rw.c")
+        plain = harness.PreparedTarget(tmp_path / "plain", tmp_path / "plain" / "build" / "rw.c")
         plain.build_dir.mkdir(parents=True)
-        (plain.build_dir / "rw.c").write_text(OWN_READ_AND_WRITE_C)
+        plain.source.write_text(OWN_READ_AND_WRITE_C)
         for cmd in (["gcc", *harness.GCC_COVERAGE_FLAGS, "-c", "rw.c", "-o", "rw.o"],
                     ["gcc", "-fprofile-arcs", "rw.o", "-o", "plain"]):
             subprocess.run(cmd, cwd=plain.build_dir, check=True)

@@ -3,7 +3,6 @@ same input, the C side measured by gcov and the Python side by the probes,
 on every Python interpreter found."""
 
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ def one_run(target, values):
     """(body taken, else taken) of each branch site, in statement order,
     after one run of `values` on a target whose coverage is reset first."""
     if target.language is Language.C:
-        (target.build_dir / f"{Path(target.source_name).stem}.gcda").unlink(missing_ok=True)
+        (target.build_dir / f"{target.source.stem}.gcda").unlink(missing_ok=True)
     elif target.data_store.exists():
         size = target.data_store.stat().st_size
         with open(target.data_store, "r+b") as hits:
@@ -33,7 +32,7 @@ def one_run(target, values):
     assert outcome.exit_status == 0
     entry = harness.collect_raw_coverage(target)
     if target.language is Language.C:
-        source = (target.build_dir / target.source_name).read_text().splitlines()
+        source = target.source.read_text().splitlines()
     sites = []
     for line in sorted(entry["lines"], key=lambda line: line["line_number"]):
         arms = line["branches"]
